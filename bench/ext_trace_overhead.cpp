@@ -176,7 +176,7 @@ int main(int, char** argv) {
     std::fprintf(f, "  \"trace_events_dropped\": %llu,\n",
                  static_cast<unsigned long long>(dropped));
     std::fprintf(f, "  \"latency_total_cycles\": %.0f,\n",
-                 r_on.latency.total());
+                 r_on.latency.total().value());
     std::fprintf(f, "  \"energy_total_j\": %.9g\n",
                  r_on.energy.total().value());
     std::fprintf(f, "}\n");

@@ -109,17 +109,31 @@ void BM_Quantize(benchmark::State& state) {
 BENCHMARK(BM_Quantize);
 
 void BM_Gemm(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto a = weights(n * n, 1.0);
-  const auto b = weights(n * n, 1.0);
-  std::vector<float> c(n * n);
+  const std::size_t m = static_cast<std::size_t>(state.range(0));
+  const std::size_t k = static_cast<std::size_t>(state.range(1));
+  const std::size_t n = static_cast<std::size_t>(state.range(2));
+  const auto a = weights(m * k, 1.0);
+  const auto b = weights(k * n, 1.0);
+  std::vector<float> c(m * n);
   for (auto _ : state) {
-    nn::gemm(a.data(), b.data(), c.data(), n, n, n);
+    nn::gemm(a.data(), b.data(), c.data(), m, k, n);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);  // FLOPs
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);  // FLOPs
 }
-BENCHMARK(BM_Gemm)->Arg(128)->Arg(256);
+// Squares, then the zoo's conv and dense shapes: VGG-16 conv3 (3136 output
+// positions x 2304-deep patches x 256 filters), a first conv (K = 27) and
+// VGG-16 fc6 over the 6 accuracy probes. Wall time, since the kernel runs
+// on every lane of the pool.
+BENCHMARK(BM_Gemm)
+    ->UseRealTime()
+    ->ArgNames({"m", "k", "n"})
+    ->Args({128, 128, 128})
+    ->Args({256, 256, 256})
+    ->Args({3136, 2304, 256})
+    ->Args({12544, 27, 32})
+    ->Args({6, 25088, 4096});
 
 void BM_GemmParallel(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -134,7 +148,11 @@ void BM_GemmParallel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);  // FLOPs
   set_global_threads(1);
 }
-BENCHMARK(BM_GemmParallel)->Args({512, 1})->Args({512, 2})->Args({512, 4});
+BENCHMARK(BM_GemmParallel)
+    ->UseRealTime()
+    ->Args({512, 1})
+    ->Args({512, 2})
+    ->Args({512, 4});
 
 void BM_NocUniformTraffic(benchmark::State& state) {
   for (auto _ : state) {

@@ -23,14 +23,16 @@ void print_result(const char* tag, const nocw::accel::InferenceResult& r) {
   std::printf("%s\n", tag);
   std::printf("  latency: %.0f cycles (memory %.0f | noc %.0f | compute "
               "%.0f)\n",
-              r.latency.total(), r.latency.memory_cycles,
-              r.latency.comm_cycles, r.latency.compute_cycles);
+              r.latency.total().value(), r.latency.memory_cycles.value(),
+              r.latency.comm_cycles.value(),
+              r.latency.compute_cycles.value());
   const auto& e = r.energy;
   std::printf("  energy:  %.2f uJ (comm %.2f | compute %.2f | local mem "
               "%.2f | main mem %.2f)\n",
-              e.total() * 1e6, e.communication.total() * 1e6,
-              e.computation.total() * 1e6, e.local_memory.total() * 1e6,
-              e.main_memory.total() * 1e6);
+              e.total().value() * 1e6, e.communication.total().value() * 1e6,
+              e.computation.total().value() * 1e6,
+              e.local_memory.total().value() * 1e6,
+              e.main_memory.total().value() * 1e6);
 }
 
 }  // namespace

@@ -19,7 +19,8 @@ void run(const char* tag, nocw::noc::Network& net) {
   const auto& st = net.stats();
   std::printf("  %-22s %8llu cycles  %6.3f flits/cycle  mean pkt latency "
               "%7.1f\n",
-              tag, static_cast<unsigned long long>(cycles), st.throughput(),
+              tag, static_cast<unsigned long long>(cycles),
+              st.throughput().value(),
               st.packet_latency.mean());
 }
 

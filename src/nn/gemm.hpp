@@ -1,37 +1,25 @@
-// Multi-threaded GEMM tuned for the conv/dense layers in the zoo.
+// Multi-threaded GEMM for the conv/dense layers in the zoo.
 //
-// C[M x N] (+)= A[M x K] * B[K x N], all row-major. The kernel blocks over K
-// and N so the B-panel and the C rows being updated stay cache-resident, and
-// the inner loop is a contiguous FMA chain GCC auto-vectorizes. M-row blocks
-// are distributed over the global thread pool: each lane owns a disjoint set
-// of C rows and the per-element accumulation order (ascending k) is
-// identical to the serial kernel, so results are bit-exact for any
-// NOCW_THREADS. No transposed variants are needed: im2col lays patches out
-// so conv is exactly this product.
+// C[M x N] (+)= A[M x K] * B[K x N], all row-major. A 6 x 8 tile of C stays
+// in registers (GCC/Clang 16-byte vectors, SSE2 on x86-64) across a
+// 256-deep K panel of B, which is packed into a contiguous 8-column strip
+// first. C is stored and reloaded between panels, so every element is still
+// the chain c = c + a * b in ascending k, one rounded multiply and one
+// rounded add per step, starting from +0 (or from C when accumulating). The
+// result is therefore bit-identical to the naive triple loop, whatever the
+// tiling or NOCW_THREADS. Adding a zero product never changes a C that
+// started at +0, so exact zeros in A (im2col padding, post-ReLU inputs)
+// need no special path when B is finite. Work is split over 96-row x
+// 128-column blocks of C, so a 6-row Dense layer still uses every lane.
+// im2col lays patches out so conv is exactly this product.
 #pragma once
 
 #include <cstddef>
 
 namespace nocw::nn {
 
-/// How the kernel treats zero entries of A.
-///
-/// im2col matrices of Same-padded convs and post-ReLU activations are full
-/// of exact zeros, and skipping them (`Sparse`) beats multiplying by them.
-/// For dense operands the per-element branch costs ~15% — `Dense` hoists it
-/// out of the hot path. `Auto` (the default) samples A once and picks.
-/// The two paths differ at most in the sign of a floating-point zero; mode
-/// choice never depends on thread count, so determinism is preserved.
-enum class GemmMode { Auto, Dense, Sparse };
-
-/// C = A*B (beta = 0) or C += A*B (accumulate = true).
+/// C = A*B (accumulate = false) or C += A*B (accumulate = true).
 void gemm(const float* a, const float* b, float* c, std::size_t m,
-          std::size_t k, std::size_t n, bool accumulate = false,
-          GemmMode mode = GemmMode::Auto);
-
-/// y = A*x (+ y), the M x K by K matrix-vector special case. Parallel over
-/// output rows; each row is an independent dot product (bit-exact).
-void gemv(const float* a, const float* x, float* y, std::size_t m,
-          std::size_t k, bool accumulate = false);
+          std::size_t k, std::size_t n, bool accumulate = false);
 
 }  // namespace nocw::nn

@@ -109,54 +109,61 @@ Tensor Conv2D::forward(std::span<const Tensor* const> inputs) const {
 
   Tensor out({n, oh, ow, cout_});
   const std::size_t k = static_cast<std::size_t>(kh_) * kw_ * cin_;
-  std::vector<float> cols(static_cast<std::size_t>(oh) * ow * k);
+  // A 1x1, stride-1 conv's im2col matrix is the NHWC input itself.
+  const bool pointwise = kh_ == 1 && kw_ == 1 && stride_ == 1;
+  std::vector<float> cols(
+      pointwise ? 0 : static_cast<std::size_t>(oh) * ow * k);
 
   for (int img = 0; img < n; ++img) {
-    // im2col: one row of `cols` per output position. Output rows are
-    // disjoint `cols` slices, so the y loop parallelizes without
-    // synchronization (and runs inline when already inside a parallel
-    // region, e.g. a batched Graph::forward).
-    global_pool().parallel_for(
-        0, static_cast<std::size_t>(oh), row_grain(oh),
-        [&](std::size_t y0, std::size_t y1, unsigned /*lane*/) {
-          for (std::size_t y = y0; y < y1; ++y) {
-            float* col = cols.data() + y * ow * k;
-            for (int x = 0; x < ow; ++x) {
-              for (int ky = 0; ky < kh_; ++ky) {
-                const int iy =
-                    static_cast<int>(y) * stride_ - pad_top + ky;
-                float* dst = col + (static_cast<std::size_t>(ky) * kw_) * cin_;
-                if (iy < 0 || iy >= h) {
-                  std::memset(dst, 0, static_cast<std::size_t>(kw_) * cin_ *
-                                          sizeof(float));
-                  continue;
-                }
-                const int ix0 = x * stride_ - pad_left;
-                if (ix0 >= 0 && ix0 + kw_ <= w) {
-                  std::memcpy(dst, &in.at(img, iy, ix0, 0),
-                              static_cast<std::size_t>(kw_) * cin_ *
-                                  sizeof(float));
-                } else {
-                  for (int kx = 0; kx < kw_; ++kx) {
-                    const int ix = ix0 + kx;
-                    float* d = dst + static_cast<std::size_t>(kx) * cin_;
-                    if (ix < 0 || ix >= w) {
-                      std::memset(d, 0, static_cast<std::size_t>(cin_) *
+    const float* lhs = pointwise ? &in.at(img, 0, 0, 0) : cols.data();
+    if (!pointwise) {
+      // im2col: one row of `cols` per output position. Output rows are
+      // disjoint `cols` slices, so the y loop parallelizes without
+      // synchronization (and runs inline when already inside a parallel
+      // region, e.g. a batched Graph::forward).
+      global_pool().parallel_for(
+          0, static_cast<std::size_t>(oh), row_grain(oh),
+          [&](std::size_t y0, std::size_t y1, unsigned /*lane*/) {
+            for (std::size_t y = y0; y < y1; ++y) {
+              float* col = cols.data() + y * ow * k;
+              for (int x = 0; x < ow; ++x) {
+                for (int ky = 0; ky < kh_; ++ky) {
+                  const int iy =
+                      static_cast<int>(y) * stride_ - pad_top + ky;
+                  float* dst =
+                      col + (static_cast<std::size_t>(ky) * kw_) * cin_;
+                  if (iy < 0 || iy >= h) {
+                    std::memset(dst, 0, static_cast<std::size_t>(kw_) * cin_ *
                                             sizeof(float));
-                    } else {
-                      std::memcpy(d, &in.at(img, iy, ix, 0),
-                                  static_cast<std::size_t>(cin_) *
-                                      sizeof(float));
+                    continue;
+                  }
+                  const int ix0 = x * stride_ - pad_left;
+                  if (ix0 >= 0 && ix0 + kw_ <= w) {
+                    std::memcpy(dst, &in.at(img, iy, ix0, 0),
+                                static_cast<std::size_t>(kw_) * cin_ *
+                                    sizeof(float));
+                  } else {
+                    for (int kx = 0; kx < kw_; ++kx) {
+                      const int ix = ix0 + kx;
+                      float* d = dst + static_cast<std::size_t>(kx) * cin_;
+                      if (ix < 0 || ix >= w) {
+                        std::memset(d, 0, static_cast<std::size_t>(cin_) *
+                                              sizeof(float));
+                      } else {
+                        std::memcpy(d, &in.at(img, iy, ix, 0),
+                                    static_cast<std::size_t>(cin_) *
+                                        sizeof(float));
+                      }
                     }
                   }
                 }
+                col += k;
               }
-              col += k;
             }
-          }
-        });
+          });
+    }
     float* dst = &out.at(img, 0, 0, 0);
-    gemm(cols.data(), kernel_.data(), dst,
+    gemm(lhs, kernel_.data(), dst,
          static_cast<std::size_t>(oh) * ow, k,
          static_cast<std::size_t>(cout_));
     if (!bias_.empty()) {

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <vector>
 
+#include "gemm_reference.hpp"
 #include "util/rng.hpp"
 
 namespace nocw::nn {
@@ -122,6 +123,39 @@ TEST(Conv2D, MultiChannelAgreesWithNaive) {
       }
     }
   }
+}
+
+TEST(Conv2D, PointwiseSkipsIm2colBitIdentically) {
+  // A 1x1 stride-1 conv feeds its input to the GEMM as is; a 1x1 stride-2
+  // conv goes through im2col. On the stride-2 subsample of the same input
+  // the two must agree bit for bit.
+  Xoshiro256pp rng(212);
+  Conv2D fast("p", 5, 11, 1, 1, 1, Padding::Same);
+  Conv2D strided("s", 5, 11, 1, 1, 2, Padding::Valid);
+  for (std::size_t i = 0; i < fast.kernel().size(); ++i) {
+    fast.kernel()[i] = strided.kernel()[i] = static_cast<float>(rng.normal());
+  }
+  for (std::size_t i = 0; i < fast.bias().size(); ++i) {
+    fast.bias()[i] = strided.bias()[i] = static_cast<float>(rng.normal());
+  }
+  Tensor in({2, 7, 9, 5});
+  for (auto& v : in.data()) {
+    v = rng.uniform() < 0.5 ? 0.0F : static_cast<float>(rng.normal());
+  }
+  Tensor sub({2, 4, 5, 5});
+  for (int n = 0; n < 2; ++n) {
+    for (int y = 0; y < 4; ++y) {
+      for (int x = 0; x < 5; ++x) {
+        for (int c = 0; c < 5; ++c) {
+          sub.at(n, y, x, c) = in.at(n, 2 * y, 2 * x, c);
+        }
+      }
+    }
+  }
+  const Tensor got = run1(fast, sub);
+  const Tensor want = run1(strided, in);
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_TRUE(bitwise_equal(got.data(), want.data()));
 }
 
 TEST(Conv2D, ParamCountMatchesKeras) {
