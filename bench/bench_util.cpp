@@ -20,7 +20,7 @@ namespace nocw::bench {
 namespace {
 
 // Captured at static initialization, i.e. (close enough to) process start;
-// bench_manifest reports wall time relative to this.
+// write_summary stamps wall_ms relative to this.
 const std::chrono::steady_clock::time_point kProcessStart =
     std::chrono::steady_clock::now();
 
@@ -46,7 +46,6 @@ std::string summary_entry(const obs::RunManifest& m) {
      << obs::json_escape(m.build.count("git_sha") ? m.build.at("git_sha")
                                                   : "unknown")
      << "\",\"threads\":" << m.threads
-     << ",\"wall_seconds\":" << obs::json_number(m.wall_seconds)
      << ",\"metrics\":{";
   std::size_t i = 0;
   for (const auto& [k, v] : m.metrics) {
@@ -141,16 +140,6 @@ TrainedLenet trained_lenet(const std::string& cache_dir) {
   return out;
 }
 
-obs::RunManifest bench_manifest(const std::string& bench_name,
-                                const std::string& model) {
-  obs::RunManifest m = obs::make_manifest(bench_name, model);
-  m.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    kProcessStart)
-          .count();
-  return m;
-}
-
 void write_summary(const std::string& dir, const obs::RunManifest& m) {
   {
     const std::lock_guard<std::mutex> lock(g_registered_mu);
@@ -178,10 +167,8 @@ void write_summary(const std::string& dir, const obs::RunManifest& m) {
   }
 
   // Stamp the bench's wall-clock cost as an informational metric (the
-  // regression gate treats *_ms keys as never-gating). Computed here, not
-  // from m.wall_seconds: manifests are often created at bench start, and
-  // write_summary runs at the end — the process-relative clock is the
-  // honest "how long did this bench take" number.
+  // regression gate treats *_ms keys as never-gating). Stamped here, at the
+  // end of the run, because manifests are often created at bench start.
   obs::RunManifest stamped = m;
   stamped.metrics["wall_ms"] =
       std::chrono::duration<double, std::milli>(
@@ -212,7 +199,7 @@ void write_summary(const std::string& dir, const obs::RunManifest& m) {
 void write_summary(const std::string& dir, const std::string& bench_name,
                    const std::map<std::string, double>& metrics,
                    const std::string& model) {
-  obs::RunManifest m = bench_manifest(bench_name, model);
+  obs::RunManifest m = obs::make_manifest(bench_name, model);
   m.metrics = metrics;
   write_summary(dir, m);
 }

@@ -47,25 +47,21 @@ struct TrainedLenet {
 };
 TrainedLenet trained_lenet(const std::string& cache_dir);
 
-/// Run manifest for this bench: provenance, environment and thread count
-/// pre-filled (obs::make_manifest), wall_seconds measured since process
-/// start. Benches add config strings / metrics (or let an evaluator's
-/// annotate_manifest do it) before handing it to write_summary.
-obs::RunManifest bench_manifest(const std::string& bench_name,
-                                const std::string& model = "");
-
 /// Record a bench's headline results:
 ///  - writes `<dir>/results/run_<tool>.json`, the bench's provenance
 ///    manifest (schema nocw.manifest.v1);
 ///  - upserts one `"<tool>": {...}` line into the aggregated summary
 ///    (default `<dir>/results/BENCH_summary.json`, path overridable via
 ///    NOCW_SUMMARY_JSON; schema nocw.bench_summary.v1, one bench per line
-///    so independent binaries merge without a JSON parser).
+///    so independent binaries merge without a JSON parser), with the
+///    bench's wall time since process start added as the wall_ms metric.
+/// `m` comes from obs::make_manifest, plus the bench's config strings and
+/// metrics (or an evaluator's annotate_manifest).
 /// Every bench calls this exactly once — tools/lint.py's [manifest] rule
 /// enforces registration. This is the single writer of the summary file.
 void write_summary(const std::string& dir, const obs::RunManifest& m);
 
-/// Convenience: bench_manifest(name, model) + metrics + write_summary.
+/// Convenience: obs::make_manifest(name, model) + metrics + write_summary.
 void write_summary(const std::string& dir, const std::string& bench_name,
                    const std::map<std::string, double>& metrics,
                    const std::string& model = "");

@@ -59,7 +59,7 @@ ArmResult run_arm(noc::RouteMode mode, const accel::ModelSummary& summary,
 
 int main(int, char** argv) {
   const std::string dir = bench::output_dir(argv[0]);
-  obs::RunManifest man = bench::bench_manifest("ext_degradation", "LeNet-5");
+  obs::RunManifest man = obs::make_manifest("ext_degradation", "LeNet-5");
 
   bench::TrainedLenet lenet = bench::trained_lenet(dir);
   eval::EvalConfig ecfg;

@@ -68,7 +68,7 @@ ArmResult run_arm(noc::EngineMode engine, bool reuse_phases,
 
 int main(int, char** argv) {
   const std::string dir = bench::output_dir(argv[0]);
-  obs::RunManifest man = bench::bench_manifest("ext_engine_speed", "LeNet-5");
+  obs::RunManifest man = obs::make_manifest("ext_engine_speed", "LeNet-5");
 
   // Shared, untimed preparation: train/load LeNet-5 and compress the
   // selected layer at every δ once. The timed arms differ only in the NoC

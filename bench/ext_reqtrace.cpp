@@ -132,7 +132,7 @@ void write_file(const std::string& path, const std::string& body,
 
 int main(int, char** argv) {
   const std::string dir = bench::output_dir(argv[0]);
-  obs::RunManifest man = bench::bench_manifest("ext_reqtrace", "LeNet-5");
+  obs::RunManifest man = obs::make_manifest("ext_reqtrace", "LeNet-5");
 
   // --- workload classes (ext_serving's mix) -----------------------------
   bench::TrainedLenet lenet = bench::trained_lenet(dir);

@@ -138,7 +138,7 @@ void write_serving_json(const std::string& path,
 
 int main(int, char** argv) {
   const std::string dir = bench::output_dir(argv[0]);
-  obs::RunManifest man = bench::bench_manifest("ext_serving", "LeNet-5");
+  obs::RunManifest man = obs::make_manifest("ext_serving", "LeNet-5");
 
   // --- workload classes -------------------------------------------------
   bench::TrainedLenet lenet = bench::trained_lenet(dir);

@@ -130,7 +130,7 @@ void run_model(const std::string& dir, nn::Model& model,
 int main(int, char** argv) {
   const std::string dir = bench::output_dir(argv[0]);
 
-  obs::RunManifest man = bench::bench_manifest("fig10_tradeoff");
+  obs::RunManifest man = obs::make_manifest("fig10_tradeoff");
   {
     // LeNet-5: genuinely trained; top-1 against held-out digits.
     bench::TrainedLenet lenet = bench::trained_lenet(dir);

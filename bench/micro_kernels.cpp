@@ -1,5 +1,6 @@
 // Engineering micro-benchmarks (google-benchmark): codec throughput,
-// decompressor-unit rate, router/network cycle rate, GEMM, quantization.
+// decompressor-unit rate, router/network cycle rate, GEMM, model building,
+// quantization.
 // Not a paper figure — these guard the simulator's own performance.
 //
 // After the google-benchmark suite, main() runs a GEMM/conv thread-scaling
@@ -22,6 +23,7 @@
 #include "core/decompressor_unit.hpp"
 #include "nn/gemm.hpp"
 #include "nn/layers.hpp"
+#include "nn/models.hpp"
 #include "nn/tensor.hpp"
 #include "noc/network.hpp"
 #include "noc/traffic.hpp"
@@ -153,6 +155,33 @@ BENCHMARK(BM_GemmParallel)
     ->Args({512, 1})
     ->Args({512, 2})
     ->Args({512, 4});
+
+// Building a zoo model: graph construction plus synthetic weight generation
+// on the pool (nn::init_graph). Wall time, since generation runs on every
+// lane. fig10 builds each model once per process, so the first build in the
+// process (cold allocator, pool start-up) is reported on its own as the
+// first_build_s counter.
+void BM_MakeModel(benchmark::State& state, const std::string& name) {
+  static std::map<std::string, double> first_build_s;
+  if (first_build_s.count(name) == 0) {
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(nn::make_model(name, 1).graph.node_count());
+    first_build_s[name] = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  }
+  for (auto _ : state) {
+    nn::Model m = nn::make_model(name, 1);
+    benchmark::DoNotOptimize(m.graph.node_count());
+  }
+  state.counters["first_build_s"] = first_build_s[name];
+}
+BENCHMARK_CAPTURE(BM_MakeModel, vgg16, std::string("VGG-16"))
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MakeModel, resnet50, std::string("ResNet50"))
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_NocUniformTraffic(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,10 +1,51 @@
 #include "nn/init.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <span>
+#include <vector>
+
+#include "util/thread_pool.hpp"
 
 namespace nocw::nn {
 
 namespace {
+
+// Weights per generation chunk. A constant, so chunk boundaries (and with
+// them the work split) never depend on the thread count.
+constexpr std::size_t kLaplacianChunk = std::size_t{1} << 16;
+
+// Laplacian draws with the fan-scaled scale b. Weight i takes the i-th draw
+// of `rng`'s stream (one draw per weight), so chunk c starts exactly
+// c * kLaplacianChunk draws ahead: the starts are jumped to serially, the
+// chunks filled on the pool, and `rng` is left just past the last weight,
+// as a serial fill would leave it.
+void fill_laplacian(std::span<float> kernel, double b_scale,
+                    Xoshiro256pp& rng) {
+  if (kernel.empty()) return;
+  static const Xoshiro256pp::Jump kChunkJump(kLaplacianChunk);
+  const std::size_t chunks =
+      (kernel.size() + kLaplacianChunk - 1) / kLaplacianChunk;
+  std::vector<Xoshiro256pp> starts(chunks, rng);
+  for (std::size_t c = 1; c < chunks; ++c) {
+    kChunkJump.apply(starts[c] = starts[c - 1]);
+  }
+  global_pool().parallel_for(
+      0, chunks, 1, [&](std::size_t first, std::size_t last, unsigned) {
+        for (std::size_t c = first; c < last; ++c) {
+          Xoshiro256pp draws = starts[c];
+          const std::size_t end =
+              std::min(kernel.size(), (c + 1) * kLaplacianChunk);
+          for (std::size_t i = c * kLaplacianChunk; i < end; ++i) {
+            const double u = draws.uniform() - 0.5;
+            const double mag = -b_scale * std::log(1.0 - 2.0 * std::abs(u));
+            kernel[i] = static_cast<float>(u < 0 ? -mag : mag);
+          }
+          if (c + 1 == chunks) rng = draws;
+        }
+      });
+}
 
 struct Fan {
   double in = 1.0;
@@ -60,12 +101,7 @@ void init_layer(Layer& layer, Xoshiro256pp& rng, InitScheme scheme,
     }
   } else {
     // Laplacian with the same fan-scaled stddev (see InitDistribution docs).
-    const double b_scale = stddev / std::sqrt(2.0);
-    for (auto& w : layer.kernel()) {
-      const double u = rng.uniform() - 0.5;
-      const double mag = -b_scale * std::log(1.0 - 2.0 * std::abs(u));
-      w = static_cast<float>(u < 0 ? -mag : mag);
-    }
+    fill_laplacian(layer.kernel(), stddev / std::sqrt(2.0), rng);
   }
   for (auto& b : layer.bias()) b = 0.0F;
 }

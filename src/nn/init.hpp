@@ -36,6 +36,14 @@ enum class InitDistribution {
 /// Initialize one layer's kernel/bias in place. fan_in/fan_out are derived
 /// from the layer geometry. BatchNorm gets gamma=1, beta=0, and slightly
 /// dispersed moving statistics so folded scales are not all identical.
+///
+/// Every weight is drawn from `rng`'s one stream, in kernel order, and `rng`
+/// is left where that serial walk would leave it. A Laplacian kernel takes
+/// exactly one draw per weight, so it is filled in parallel on global_pool():
+/// fixed 2^16-weight chunks, each started by xoshiro jump-ahead
+/// (Xoshiro256pp::Jump). BatchNorm and Gaussian layers (normal() keeps a
+/// cached deviate) stay serial. The weights are therefore bit-identical at
+/// any thread count (DESIGN.md §17).
 void init_layer(Layer& layer, Xoshiro256pp& rng,
                 InitScheme scheme = InitScheme::GlorotNormal,
                 InitDistribution dist = InitDistribution::Laplacian);

@@ -600,10 +600,14 @@ Tensor BatchNorm::forward(std::span<const Tensor* const> inputs) const {
     scale[i] = gamma_[i] / std::sqrt(var_[i] + eps_);
     shift[i] = beta_[i] - mean_[i] * scale[i];
   }
+  // NHWC: channels are innermost, so walk positions x channels.
+  const std::size_t channels = gamma_.size();
+  if (channels == 0) return out;
   auto d = out.data();
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    const std::size_t ci = i % gamma_.size();
-    d[i] = d[i] * scale[ci] + shift[ci];
+  for (std::size_t p = 0; p < d.size(); p += channels) {
+    for (std::size_t ch = 0; ch < channels; ++ch) {
+      d[p + ch] = d[p + ch] * scale[ch] + shift[ch];
+    }
   }
   return out;
 }

@@ -101,7 +101,6 @@ std::string RunManifest::to_json() const {
   os << "\"tool\":\"" << json_escape(tool) << "\",\n";
   os << "\"model\":\"" << json_escape(model) << "\",\n";
   os << "\"threads\":" << threads << ",\n";
-  os << "\"wall_seconds\":" << json_number(wall_seconds) << ",\n";
   emit_string_map(os, "build", build, /*trailing_comma=*/true);
   emit_string_map(os, "env", env, /*trailing_comma=*/true);
   emit_string_map(os, "config", config, /*trailing_comma=*/true);

@@ -7,10 +7,12 @@
 // latency delta means anything. RunManifest carries exactly that: git
 // revision (read live from the source tree's .git, env-overridable), build
 // type/compiler (baked at configure time), every NOCW_*/REPRO_* environment
-// knob that was set, the driver's configuration strings, wall time, and a
-// flat name→value map of the run's tier-1 metrics. `to_json()` emits a
-// line-wise schema ("nocw.manifest.v1", one top-level key per line) that
+// knob that was set, the driver's configuration strings, and a flat
+// name→value map of the run's tier-1 metrics. `to_json()` emits a line-wise
+// schema ("nocw.manifest.v1", one top-level key per line) that
 // tests/obs/manifest_schema_test.cpp pins and tools/obs_diff.py consumes.
+// The bench's wall time is not a manifest field: write_summary stamps it as
+// the wall_ms metric when the run ends.
 #pragma once
 
 #include <map>
@@ -32,8 +34,7 @@ struct RunManifest {
   /// Tier-1 metric summary (latency cycles, energy joules, accuracy, ...).
   std::map<std::string, double> metrics;
 
-  int threads = 0;           ///< resolved worker count (NOCW_THREADS)
-  double wall_seconds = 0.0; ///< driver wall time, informational
+  int threads = 0;  ///< resolved worker count (NOCW_THREADS)
 
   /// Line-wise JSON: {"schema":...}\n then one "key":value line per field.
   [[nodiscard]] std::string to_json() const;

@@ -8,6 +8,7 @@
 // machine-dependent.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cmath>
 #include <limits>
@@ -108,6 +109,27 @@ class Xoshiro256pp {
 
   /// Bernoulli trial with probability p of returning true.
   bool chance(double p) noexcept { return uniform() < p; }
+
+  /// A precomputed advance by a fixed number of draws: apply() leaves the
+  /// generator where `draws` calls of operator() would. The xoshiro256 state
+  /// update (xor, shift, rotate) is linear over GF(2), so n draws are one
+  /// fixed 256x256 bit matrix: building it costs O(log n) matrix squarings,
+  /// applying it about 128 row xors. Only the draw state moves; the cached
+  /// normal deviate is kept.
+  class Jump {
+   public:
+    explicit Jump(std::uint64_t draws);
+    void apply(Xoshiro256pp& rng) const noexcept;
+
+   private:
+    using State = std::array<std::uint64_t, 4>;
+    /// images[b]: the state a linear map sends state bit b (word b/64) to.
+    using Images = std::array<State, 256>;
+
+    static State map(const Images& images, const State& v) noexcept;
+
+    Images image_{};
+  };
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

@@ -54,7 +54,7 @@ class SummaryWriter : public ::testing::Test {
 
 TEST_F(SummaryWriter, RepeatedWriteForOneToolWarnsAndKeepsLatest) {
   const std::uint64_t before = duplicate_summary_writes();
-  obs::RunManifest m = bench_manifest("dup_tool");
+  obs::RunManifest m = obs::make_manifest("dup_tool");
   m.metrics["x"] = 1.0;
   write_summary(dir_, m);
   EXPECT_EQ(duplicate_summary_writes(), before);  // first write is clean
@@ -104,11 +104,11 @@ TEST_F(SummaryWriter, StrictModeTurnsDuplicateRegistrationIntoError) {
 }
 
 TEST_F(SummaryWriter, RewriteAcrossToolsPreservesOtherEntries) {
-  obs::RunManifest m = bench_manifest("survivor");
+  obs::RunManifest m = obs::make_manifest("survivor");
   m.metrics["keep"] = 7.0;
   write_summary(dir_, m);
 
-  obs::RunManifest other = bench_manifest("overwriter");
+  obs::RunManifest other = obs::make_manifest("overwriter");
   other.metrics["y"] = 1.0;
   write_summary(dir_, other);
   other.metrics["y"] = 3.0;

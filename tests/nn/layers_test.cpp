@@ -397,6 +397,31 @@ TEST(BatchNorm, AppliesFoldedScaleShift) {
   EXPECT_FLOAT_EQ(out[0], 3.0F);
 }
 
+TEST(BatchNorm, ChannelLoopMatchesPerElementFormula) {
+  // The forward pass walks positions x channels; the per-element formula
+  // it replaced indexed the channel as i % C. Same multiply-then-add, so
+  // the same bits, here with a non-power-of-two channel count.
+  const int c = 7;
+  BatchNorm bn("bn", c, 1e-3F);
+  Xoshiro256pp rng(214);
+  for (auto& g : bn.kernel()) g = static_cast<float>(rng.normal(1.0, 0.1));
+  for (auto& b : bn.bias()) b = static_cast<float>(rng.normal(0.0, 0.1));
+  for (auto& m : bn.moving_mean()) m = static_cast<float>(rng.normal());
+  for (auto& v : bn.moving_var()) v = static_cast<float>(rng.uniform(0.5, 2));
+  Tensor in({2, 3, 5, c});
+  for (auto& v : in.data()) v = static_cast<float>(rng.normal());
+
+  std::vector<float> want(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const std::size_t ci = i % c;
+    const float scale = bn.kernel()[ci] / std::sqrt(bn.moving_var()[ci] + 1e-3F);
+    const float shift = bn.bias()[ci] - bn.moving_mean()[ci] * scale;
+    want[i] = in[i] * scale + shift;
+  }
+  const Tensor out = run1(bn, in);
+  EXPECT_TRUE(bitwise_equal(out.data(), want));
+}
+
 TEST(BatchNorm, ParamCountIsFourPerChannel) {
   BatchNorm bn("bn", 64);
   EXPECT_EQ(bn.param_count(), 256u);

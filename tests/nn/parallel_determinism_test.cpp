@@ -4,10 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "gemm_reference.hpp"
+#include "init_reference.hpp"
 #include "nn/gemm.hpp"
+#include "nn/init.hpp"
 #include "nn/models.hpp"
 #include "nn/tensor.hpp"
 #include "util/rng.hpp"
@@ -25,6 +31,47 @@ std::vector<float> random_vec(std::size_t n, std::uint64_t seed,
                                       : static_cast<float>(rng.normal());
   }
   return v;
+}
+
+// Every parameter of the graph in node order: kernel, bias and, for
+// BatchNorm, the moving statistics.
+std::vector<float> all_params(Graph& g) {
+  std::vector<float> out;
+  for (std::size_t i = 0; i < g.node_count(); ++i) {
+    Layer& layer = g.layer(static_cast<int>(i));
+    out.insert(out.end(), layer.kernel().begin(), layer.kernel().end());
+    out.insert(out.end(), layer.bias().begin(), layer.bias().end());
+    if (layer.type() == LayerType::BatchNorm) {
+      auto& bn = static_cast<BatchNorm&>(layer);
+      out.insert(out.end(), bn.moving_mean().begin(), bn.moving_mean().end());
+      out.insert(out.end(), bn.moving_var().begin(), bn.moving_var().end());
+    }
+  }
+  return out;
+}
+
+// init_layer over the graph from `seed` (what init_graph does), returning
+// the generator it leaves behind.
+Xoshiro256pp init_layers(Graph& g, std::uint64_t seed, InitDistribution dist) {
+  Xoshiro256pp rng(seed);
+  for (std::size_t i = 0; i < g.node_count(); ++i) {
+    init_layer(g.layer(static_cast<int>(i)), rng, InitScheme::GlorotNormal,
+               dist);
+  }
+  return rng;
+}
+
+// Both generators produce the same next draws, cached normal included.
+::testing::AssertionResult same_generator(Xoshiro256pp a, Xoshiro256pp b) {
+  for (int i = 0; i < 3; ++i) {
+    if (a.normal() != b.normal()) {
+      return ::testing::AssertionFailure() << "normal draw " << i;
+    }
+  }
+  for (int i = 0; i < 4; ++i) {
+    if (a() != b()) return ::testing::AssertionFailure() << "raw draw " << i;
+  }
+  return ::testing::AssertionSuccess();
 }
 
 class ParallelDeterminism : public ::testing::Test {
@@ -117,6 +164,59 @@ TEST_F(ParallelDeterminism, GemvMatchesSerialAcrossThreadCounts) {
       gemm(a.data(), x.data(), out.data(), m, k, n);
       ASSERT_TRUE(bitwise_equal(out, ref))
           << "shape " << m << "x" << k << "x" << n << " threads " << threads;
+    }
+  }
+}
+
+TEST_F(ParallelDeterminism, InitGraphMatchesSerialStream) {
+  // Dense kernels of 0, 1, chunk - 1, chunk, chunk + 1 and a prime (2^17 - 1)
+  // weights, with a BatchNorm between them, then three zoo models: LeNet-5
+  // (Gaussian), AlexNet (multi-chunk Dense layers) and MobileNet (depthwise
+  // and BatchNorm). Each case builds its graph through init_graph; the
+  // weights, and the generator init_layer leaves behind, must equal the
+  // serial reference at every thread count.
+  struct Case {
+    std::string name;
+    std::function<Graph()> build;  ///< calls init_graph(g, seed, ...)
+    std::uint64_t seed;
+    InitDistribution dist;
+  };
+  const auto synthetic = [] {
+    Graph g;
+    g.add(std::make_unique<InputLayer>("input", std::vector<int>{0, 1}));
+    for (int n : {0, 1, 65535, 65536, 65537, 131071}) {
+      g.add(std::make_unique<Dense>("dense_" + std::to_string(n),
+                                    n == 0 ? 0 : 1, n == 0 ? 5 : n),
+            {0});
+      if (n == 65536) g.add(std::make_unique<BatchNorm>("bn", 7), {0});
+    }
+    init_graph(g, 21);
+    return g;
+  };
+  const std::vector<Case> cases = {
+      {"synthetic", synthetic, 21, InitDistribution::Laplacian},
+      {"LeNet-5", [] { return make_lenet5(1).graph; }, 1,
+       InitDistribution::Gaussian},
+      {"AlexNet", [] { return make_alexnet(1).graph; }, 1,
+       InitDistribution::Laplacian},
+      {"MobileNet", [] { return make_mobilenet(1009).graph; }, 1009,
+       InitDistribution::Laplacian},
+  };
+  for (const Case& c : cases) {
+    Graph ref = c.build();
+    Xoshiro256pp ref_rng(c.seed);
+    reference_init_graph(ref, ref_rng, InitScheme::GlorotNormal, c.dist);
+    const std::vector<float> want = all_params(ref);
+    for (unsigned threads : {1U, 2U, 8U}) {
+      set_global_threads(threads);
+      Graph g = c.build();
+      ASSERT_TRUE(bitwise_equal(all_params(g), want))
+          << c.name << " threads " << threads;
+      const Xoshiro256pp left = init_layers(g, c.seed, c.dist);
+      ASSERT_TRUE(same_generator(left, ref_rng))
+          << c.name << " threads " << threads;
+      ASSERT_TRUE(bitwise_equal(all_params(g), want))
+          << c.name << " threads " << threads;
     }
   }
 }

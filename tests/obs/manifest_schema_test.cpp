@@ -36,32 +36,32 @@ RunManifest sample_manifest() {
   m.config["selected_layer"] = "fc1";
   m.metrics["latency_cycles"] = 26530.5;
   m.metrics["energy_j"] = 2.2e-05;
-  m.wall_seconds = 1.25;
   return m;
 }
 
 TEST(ManifestSchema, OneTopLevelKeyPerLineInFixedOrder) {
   const std::string json = sample_manifest().to_json();
   const std::vector<std::string> lines = lines_of(json);
-  // {schema, tool, model, threads, wall_seconds, build, env, config,
-  //  metrics, closing brace} — exactly ten lines, order pinned.
-  ASSERT_EQ(lines.size(), 10u) << json;
+  // {schema, tool, model, threads, build, env, config, metrics, closing
+  //  brace} — exactly nine lines, order pinned. No wall-time field: the
+  //  summary's wall_ms metric is the one wall-clock record.
+  ASSERT_EQ(lines.size(), 9u) << json;
   EXPECT_EQ(lines[0], "{\"schema\":\"nocw.manifest.v1\",");
   EXPECT_EQ(lines[1], "\"tool\":\"schema_test\",");
   EXPECT_EQ(lines[2], "\"model\":\"LeNet-5\",");
   EXPECT_EQ(lines[3].rfind("\"threads\":", 0), 0u);
-  EXPECT_EQ(lines[4].rfind("\"wall_seconds\":1.25,", 0), 0u);
-  EXPECT_EQ(lines[5].rfind("\"build\":{", 0), 0u);
-  EXPECT_EQ(lines[6].rfind("\"env\":{", 0), 0u);
-  EXPECT_EQ(lines[7].rfind("\"config\":{", 0), 0u);
-  EXPECT_EQ(lines[8].rfind("\"metrics\":{", 0), 0u);
-  EXPECT_EQ(lines[9], "}");
+  EXPECT_EQ(lines[4].rfind("\"build\":{", 0), 0u);
+  EXPECT_EQ(lines[5].rfind("\"env\":{", 0), 0u);
+  EXPECT_EQ(lines[6].rfind("\"config\":{", 0), 0u);
+  EXPECT_EQ(lines[7].rfind("\"metrics\":{", 0), 0u);
+  EXPECT_EQ(lines[8], "}");
   // All but the final key line are comma-terminated (valid JSON when
   // joined); the metrics line closes its object without a comma.
-  for (std::size_t i = 0; i < 8; ++i) {
+  for (std::size_t i = 0; i < 7; ++i) {
     EXPECT_EQ(lines[i].back(), ',') << "line " << i << ": " << lines[i];
   }
-  EXPECT_EQ(lines[8].back(), '}');
+  EXPECT_EQ(lines[7].back(), '}');
+  EXPECT_EQ(json.find("wall_seconds"), std::string::npos);
 }
 
 TEST(ManifestSchema, ProvenanceKeysAlwaysPresent) {

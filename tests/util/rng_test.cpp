@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace nocw {
@@ -23,6 +24,23 @@ TEST(Xoshiro, ReproducibleStream) {
   Xoshiro256pp a(7);
   Xoshiro256pp b(7);
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(a(), b());
+}
+
+TEST(Rng, JumpMatchesSequentialDraws) {
+  // The jump moves the state; the output stream after it must be the one n
+  // sequential draws reach, cached normal deviate untouched.
+  for (const std::uint64_t n : {std::uint64_t{0}, std::uint64_t{1},
+                                std::uint64_t{63}, std::uint64_t{1} << 16,
+                                (std::uint64_t{1} << 16) + 7,
+                                std::uint64_t{102760448}}) {
+    Xoshiro256pp stepped(99);
+    (void)stepped.normal();  // leaves a cached deviate behind
+    Xoshiro256pp jumped = stepped;
+    for (std::uint64_t i = 0; i < n; ++i) (void)stepped();
+    Xoshiro256pp::Jump(n).apply(jumped);
+    EXPECT_EQ(jumped.normal(), stepped.normal()) << "n = " << n;
+    for (int i = 0; i < 8; ++i) ASSERT_EQ(jumped(), stepped()) << "n = " << n;
+  }
 }
 
 TEST(Xoshiro, UniformInUnitInterval) {

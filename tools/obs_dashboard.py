@@ -28,8 +28,8 @@ assets, so it survives as a CI artifact and opens anywhere:
      scheduler, plus (with --slo) the SLO burn-rate panel and a
      breached-window table whose exemplar trace ids link into the
      nocw.reqtrace.v1 export.
-  5. A bench summary table (model, git short-sha, wall seconds, #metrics,
-     trace-sampling drop counters).
+  5. A bench summary table (model, git short-sha, wall seconds from the
+     bench's wall_ms metric, #metrics, trace-sampling drop counters).
 
 Usage:
   tools/obs_dashboard.py --timeseries TS.json --summary SUMMARY.json \\
@@ -331,7 +331,7 @@ def summary_table(benches: dict) -> str:
             f"<tr><td>{html.escape(name)}</td>"
             f"<td>{html.escape(e.get('model', '') or '—')}</td>"
             f"<td><code>{html.escape(sha) or '—'}</code></td>"
-            f"<td>{e.get('wall_seconds', 0.0):.3f}</td>"
+            f"<td>{e.get('metrics', {}).get('wall_ms', 0.0) / 1e3:.3f}</td>"
             f"<td>{len(e.get('metrics', {}))}</td>"
             f"<td>{trace_drops(e)}</td></tr>")
     return ("<table><tr><th>bench</th><th>model</th><th>git sha</th>"
@@ -414,7 +414,8 @@ def self_test() -> int:
     ]}
     summary = {"schema": "nocw.bench_summary.v1", "benches": {
         "fig10_tradeoff": {"model": "", "git_sha": "abc123", "threads": 1,
-                           "wall_seconds": 1.5, "metrics": {
+                           "metrics": {
+                               "wall_ms": 1500.0,
                                "lenet-5.d0.latency_cycles": 26530.0,
                                "lenet-5.d0.energy_j": 2.2e-05,
                                "lenet-5.d0.accuracy": 0.93,
@@ -423,10 +424,12 @@ def self_test() -> int:
                                "lenet-5.d10.accuracy": 0.92,
                                "mini-vgg.d10.latency_cycles": 91000.0}},
         "ext_timeseries": {"model": "LeNet-5", "git_sha": "abc123",
-                           "threads": 1, "wall_seconds": 0.04,
-                           "metrics": {"bit_identical": 1.0}},
+                           "threads": 1,
+                           "metrics": {"bit_identical": 1.0,
+                                       "wall_ms": 40.0}},
         "ext_serving": {"model": "LeNet-5", "git_sha": "abc123",
-                        "threads": 1, "wall_seconds": 1.5, "metrics": {
+                        "threads": 1, "metrics": {
+                            "wall_ms": 1500.0,
                             "fifo.l090.p50_cycles": 21011002.0,
                             "fifo.l090.p99_cycles": 39021290.0,
                             "fifo.l090.p999_cycles": 41007113.0,
@@ -441,7 +444,8 @@ def self_test() -> int:
                             "sjf.l150.goodput_rps": 1226.0,
                             "capacity_rps": 1260.0}},
         "ext_reqtrace": {"model": "LeNet-5", "git_sha": "abc123",
-                         "threads": 1, "wall_seconds": 2.0, "metrics": {
+                         "threads": 1, "metrics": {
+                             "wall_ms": 2000.0,
                              "fifo.l130.dropped_trees": 731.0,
                              "sjf.l130.dropped_trees": 729.0,
                              "exemplar_drops": 0.0,
@@ -484,6 +488,7 @@ def self_test() -> int:
                    "00000000000000bb",  # breached window, completions > 0
                    "00000000000000dd",  # all-shed window: shed exemplar
                    "trace drops", "1460",  # 731 + 729 + 0 summed
+                   "<td>2.000</td>",  # ext_reqtrace's wall_ms in seconds
                    "p99+goodput"):
         if needle not in page:
             failures.append(f"missing from rendered page: {needle!r}")

@@ -15,7 +15,7 @@ DESIGN.md §10):
 
   informational   wall-clock and throughput numbers that vary with the host
                   machine (substrings: _ms, seconds, gflops, speedup,
-                  wall_seconds, flops). Reported, never gated.
+                  flops; e.g. each bench's wall_ms). Reported, never gated.
   lower-better    latency, energy, cycles, _j, overhead, dropped, drops,
                   shed, burn, breach — an increase beyond tolerance is a
                   regression (SLO burn rates, breached-window counts and
@@ -184,7 +184,7 @@ def self_test() -> int:
             "fig2_lenet_breakdown": {
                 "model": "LeNet-5",
                 "metrics": {"latency_cycles": 26530.4, "energy_j": 2.2e-05,
-                            "comm_cycles": 11225.8},
+                            "comm_cycles": 11225.8, "wall_ms": 1200.0},
             },
             "fig10_tradeoff": {
                 "model": "",
@@ -246,14 +246,17 @@ def self_test() -> int:
     if not any("latency_cycles" in s for s in d.improvements):
         failures.append(f"-10% latency not an improvement: {d.improvements}")
 
-    # 5. 2x wall-clock seconds: informational only, never gates.
+    # 5. 2x wall-clock time (seconds and a bench's wall_ms): informational
+    #    only, never gates.
     pert = copy.deepcopy(base_doc)
     pert["benches"]["micro_kernels"]["metrics"]["gemm.t1.seconds"] *= 2.0
+    pert["benches"]["fig2_lenet_breakdown"]["metrics"]["wall_ms"] *= 2.0
     d, rc = run(base_doc, pert, strict=True)
     if d.regressions or rc != 0:
         failures.append(f"wall-clock drift gated: {d.regressions}")
-    if not any("seconds" in s for s in d.info):
-        failures.append(f"wall-clock drift not reported: {d.info}")
+    for key in ("seconds", "wall_ms"):
+        if not any(key in s for s in d.info):
+            failures.append(f"wall-clock drift not reported: {d.info}")
 
     # 6. Drift within tolerance (+1%): silent.
     pert = copy.deepcopy(base_doc)
