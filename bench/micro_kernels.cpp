@@ -22,6 +22,7 @@
 #include "core/codec.hpp"
 #include "core/decompressor_unit.hpp"
 #include "nn/gemm.hpp"
+#include "nn/gemm_detail.hpp"
 #include "nn/layers.hpp"
 #include "nn/models.hpp"
 #include "nn/tensor.hpp"
@@ -110,6 +111,17 @@ void BM_Quantize(benchmark::State& state) {
 }
 BENCHMARK(BM_Quantize);
 
+/// The GEMM kernel this host runs, e.g. "avx512f/64B".
+std::string gemm_label() {
+  const std::size_t bytes = nn::detail::gemm_vector_bytes();
+  for (const auto& g : nn::detail::gemm_kernels()) {
+    if (g.vector_bytes == bytes) {
+      return std::string(g.isa) + "/" + std::to_string(bytes) + "B";
+    }
+  }
+  return std::to_string(bytes) + "B";
+}
+
 void BM_Gemm(benchmark::State& state) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));
   const std::size_t k = static_cast<std::size_t>(state.range(1));
@@ -123,6 +135,7 @@ void BM_Gemm(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 * m * k * n);  // FLOPs
+  state.SetLabel(gemm_label());
 }
 // Squares, then the zoo's conv and dense shapes: VGG-16 conv3 (3136 output
 // positions x 2304-deep patches x 256 filters), a first conv (K = 27) and
@@ -148,6 +161,7 @@ void BM_GemmParallel(benchmark::State& state) {
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);  // FLOPs
+  state.SetLabel(gemm_label());
   set_global_threads(1);
 }
 BENCHMARK(BM_GemmParallel)

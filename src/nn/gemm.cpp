@@ -3,115 +3,192 @@
 #include <algorithm>
 #include <cstring>
 
+#include "nn/gemm_detail.hpp"
 #include "util/thread_pool.hpp"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 
 namespace nocw::nn {
 
 namespace {
 
-// Four floats: one SSE register on x86-64, one NEON register on AArch64.
-// Kept at 16 bytes so no signature needs an ABI the baseline target lacks.
-using V4 = float __attribute__((vector_size(16)));
+/// W bytes of floats: 16 is one SSE register on x86-64 and one NEON
+/// register on AArch64, 32 one AVX register, 64 one AVX-512 register.
+/// The attribute sits on the alias itself: GCC drops a dependent
+/// vector_size written after `= float` and leaves a plain float.
+template <std::size_t W>
+using V [[gnu::vector_size(W)]] = float;
+static_assert(sizeof(V<16>) == 16 && sizeof(V<64>) == 64);
 
 constexpr std::size_t kMr = 6;    // rows of the register tile
-constexpr std::size_t kNr = 8;    // columns of the register tile (two V4)
-constexpr std::size_t kKc = 256;  // K panel; a packed B panel is 8 KiB
+constexpr std::size_t kKc = 256;  // K panel
 constexpr std::size_t kMc = 96;   // rows of one parallel task
 constexpr std::size_t kNc = 128;  // columns of one parallel task
 
-V4 load4(const float* p) {
-  V4 v;
+/// Floats per vector, and columns of the register tile (two vectors).
+template <std::size_t W>
+constexpr std::size_t kLanes = W / sizeof(float);
+template <std::size_t W>
+constexpr std::size_t kNr = 2 * kLanes<W>;
+
+// Everything up to gemm_block is always inlined into the per-width block
+// functions further down, so it is compiled for their target, at -O0 too.
+// Vectors only pass by reference, so no call needs a vector ABI the
+// baseline target lacks.
+
+template <std::size_t W>
+[[gnu::always_inline]] inline void load(V<W>& v, const float* p) {
   std::memcpy(&v, p, sizeof v);
-  return v;
 }
 
-void store4(float* p, V4 v) { std::memcpy(p, &v, sizeof v); }
+template <std::size_t W>
+[[gnu::always_inline]] inline void store(float* p, const V<W>& v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// One row of one k step: lo/hi += b0/b1 * av. Two statements, so no
+/// contraction that stays within one expression (Clang's default) can fuse
+/// them into an FMA; the build turns off contraction across statements.
+template <std::size_t W>
+[[gnu::always_inline]] inline void step(V<W>& lo, V<W>& hi, const V<W>& b0,
+                                        const V<W>& b1, float av) {
+  const V<W> m0 = b0 * av;
+  const V<W> m1 = b1 * av;
+  lo = lo + m0;
+  hi = hi + m1;
+}
 
 /// C[r][0, kNr) = (load_c ? C[r] : 0) + sum over p < kc of A[r][p] * B[p]
 /// for each row r in R. The tile lives in registers for the whole panel;
 /// the folds over the row pack unroll the row loop at compile time. Each
 /// step is a separately rounded multiply, then an add, in ascending p:
 /// exactly the scalar `c = c + a * b` chain.
-template <std::size_t... R>
-void tile(const float* a, std::size_t lda, const float* b, std::size_t ldb,
-          std::size_t kc, float* c, std::size_t ldc, bool load_c) {
-  V4 lo[] = {(load_c ? load4(c + R * ldc) : V4{})...};
-  V4 hi[] = {(load_c ? load4(c + R * ldc + 4) : V4{})...};
-  for (std::size_t p = 0; p < kc; ++p, b += ldb) {
-    const V4 b0 = load4(b);
-    const V4 b1 = load4(b + 4);
-    const auto step = [&](std::size_t r) {
-      const float av = a[r * lda + p];
-      // Two statements, so Clang's default contraction (within one
-      // expression) cannot fuse them into an FMA.
-      const V4 m0 = b0 * av;
-      const V4 m1 = b1 * av;
-      lo[r] = lo[r] + m0;
-      hi[r] = hi[r] + m1;
-    };
-    (step(R), ...);
+template <std::size_t W, std::size_t... R>
+[[gnu::always_inline]] inline void tile(const float* a, std::size_t lda,
+                                        const float* b, std::size_t ldb,
+                                        std::size_t kc, float* c,
+                                        std::size_t ldc, bool load_c) {
+  constexpr std::size_t kL = kLanes<W>;
+  V<W> lo[sizeof...(R)] = {};
+  V<W> hi[sizeof...(R)] = {};
+  if (load_c) {
+    (load<W>(lo[R], c + R * ldc), ...);
+    (load<W>(hi[R], c + R * ldc + kL), ...);
   }
-  (store4(c + R * ldc, lo[R]), ...);
-  (store4(c + R * ldc + 4, hi[R]), ...);
+  for (std::size_t p = 0; p < kc; ++p, b += ldb) {
+    V<W> b0;
+    V<W> b1;
+    load<W>(b0, b);
+    load<W>(b1, b + kL);
+    (step<W>(lo[R], hi[R], b0, b1, a[R * lda + p]), ...);
+  }
+  (store<W>(c + R * ldc, lo[R]), ...);
+  (store<W>(c + R * ldc + kL, hi[R]), ...);
 }
 
-using TileFn = void (*)(const float*, std::size_t, const float*, std::size_t,
-                        std::size_t, float*, std::size_t, bool);
-/// kTiles[r] computes an r-row tile.
-constexpr TileFn kTiles[kMr + 1] = {
-    nullptr,          &tile<0>,          &tile<0, 1>,
-    &tile<0, 1, 2>,   &tile<0, 1, 2, 3>, &tile<0, 1, 2, 3, 4>,
-    &tile<0, 1, 2, 3, 4, 5>};
+/// The tile for mr (1..kMr) rows.
+template <std::size_t W>
+[[gnu::always_inline]] inline void tile_rows(std::size_t mr, const float* a,
+                                             std::size_t lda, const float* b,
+                                             std::size_t ldb, std::size_t kc,
+                                             float* c, std::size_t ldc,
+                                             bool load_c) {
+  switch (mr) {
+    case 1: tile<W, 0>(a, lda, b, ldb, kc, c, ldc, load_c); break;
+    case 2: tile<W, 0, 1>(a, lda, b, ldb, kc, c, ldc, load_c); break;
+    case 3: tile<W, 0, 1, 2>(a, lda, b, ldb, kc, c, ldc, load_c); break;
+    case 4: tile<W, 0, 1, 2, 3>(a, lda, b, ldb, kc, c, ldc, load_c); break;
+    case 5: tile<W, 0, 1, 2, 3, 4>(a, lda, b, ldb, kc, c, ldc, load_c); break;
+    default:
+      tile<W, 0, 1, 2, 3, 4, 5>(a, lda, b, ldb, kc, c, ldc, load_c);
+      break;
+  }
+}
 
 /// C[i0, i1) x [j0, j1). Per K panel and kNr-column strip, B is packed
 /// into a contiguous zero-padded panel, then every row tile of the block
 /// runs over it. A block with a single row tile reads full strips of B in
 /// place, since packing would copy each element to use it once.
-void gemm_block(const float* a, const float* b, float* c, std::size_t k,
-                std::size_t n, std::size_t i0, std::size_t i1, std::size_t j0,
-                std::size_t j1, bool accumulate) {
-  alignas(16) float panel[kKc * kNr] = {};
-  alignas(16) float edge[kMr * kNr] = {};
+template <std::size_t W>
+[[gnu::always_inline]] inline void gemm_block(
+    const float* a, const float* b, float* c, std::size_t k, std::size_t n,
+    std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
+    bool accumulate) {
+  constexpr std::size_t nr_full = kNr<W>;
+  alignas(64) float panel[kKc * nr_full] = {};
+  alignas(64) float edge[kMr * nr_full] = {};
   for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
     const std::size_t kc = std::min(kKc, k - p0);
     const bool load_c = accumulate || p0 > 0;
-    for (std::size_t j = j0; j < j1; j += kNr) {
-      const std::size_t nr = std::min(kNr, j1 - j);
+    for (std::size_t j = j0; j < j1; j += nr_full) {
+      const std::size_t nr = std::min(nr_full, j1 - j);
       const float* bp = b + p0 * n + j;
       std::size_t ldb = n;
-      if (nr < kNr || i1 - i0 > kMr) {
+      if (nr < nr_full || i1 - i0 > kMr) {
         for (std::size_t p = 0; p < kc; ++p) {
-          std::memcpy(panel + p * kNr, bp + p * n, nr * sizeof(float));
-          std::fill(panel + p * kNr + nr, panel + (p + 1) * kNr, 0.0F);
+          std::memcpy(panel + p * nr_full, bp + p * n, nr * sizeof(float));
+          std::fill(panel + p * nr_full + nr, panel + (p + 1) * nr_full,
+                    0.0F);
         }
         bp = panel;
-        ldb = kNr;
+        ldb = nr_full;
       }
       for (std::size_t i = i0; i < i1; i += kMr) {
         const std::size_t mr = std::min(kMr, i1 - i);
         const float* ap = a + i * k + p0;
         float* cp = c + i * n + j;
-        if (nr == kNr) {
-          kTiles[mr](ap, k, bp, ldb, kc, cp, n, load_c);
+        if (nr == nr_full) {
+          tile_rows<W>(mr, ap, k, bp, ldb, kc, cp, n, load_c);
           continue;
         }
         // Column edge: run the tile on a kNr-wide copy of C.
         for (std::size_t r = 0; r < mr && load_c; ++r) {
-          std::memcpy(edge + r * kNr, cp + r * n, nr * sizeof(float));
+          std::memcpy(edge + r * nr_full, cp + r * n, nr * sizeof(float));
         }
-        kTiles[mr](ap, k, bp, ldb, kc, edge, kNr, load_c);
+        tile_rows<W>(mr, ap, k, bp, ldb, kc, edge, nr_full, load_c);
         for (std::size_t r = 0; r < mr; ++r) {
-          std::memcpy(cp + r * n, edge + r * kNr, nr * sizeof(float));
+          std::memcpy(cp + r * n, edge + r * nr_full, nr * sizeof(float));
         }
       }
     }
   }
 }
 
-}  // namespace
+using BlockFn = void (*)(const float*, const float*, float*, std::size_t,
+                         std::size_t, std::size_t, std::size_t, std::size_t,
+                         std::size_t, bool);
 
-void gemm(const float* a, const float* b, float* c, std::size_t m,
-          std::size_t k, std::size_t n, bool accumulate) {
+// One compiled block function per width; the wider ones carry the target
+// their vectors need.
+void block16(const float* a, const float* b, float* c, std::size_t k,
+             std::size_t n, std::size_t i0, std::size_t i1, std::size_t j0,
+             std::size_t j1, bool accumulate) {
+  gemm_block<16>(a, b, c, k, n, i0, i1, j0, j1, accumulate);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx2"))) void block32(
+    const float* a, const float* b, float* c, std::size_t k, std::size_t n,
+    std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
+    bool accumulate) {
+  gemm_block<32>(a, b, c, k, n, i0, i1, j0, j1, accumulate);
+}
+
+__attribute__((target("avx512f"))) void block64(
+    const float* a, const float* b, float* c, std::size_t k, std::size_t n,
+    std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
+    bool accumulate) {
+  gemm_block<64>(a, b, c, k, n, i0, i1, j0, j1, accumulate);
+}
+#endif
+
+/// C (+)= A*B with `block` over 96 x 128 blocks of C, one parallel task
+/// each.
+template <BlockFn block>
+void gemm_with(const float* a, const float* b, float* c, std::size_t m,
+               std::size_t k, std::size_t n, bool accumulate) {
   if (m == 0 || n == 0) return;
   if (k == 0) {
     if (!accumulate) std::memset(c, 0, m * n * sizeof(float));
@@ -125,10 +202,78 @@ void gemm(const float* a, const float* b, float* c, std::size_t m,
         for (std::size_t t = t0; t < t1; ++t) {
           const std::size_t i0 = (t / nblocks) * kMc;
           const std::size_t j0 = (t % nblocks) * kNc;
-          gemm_block(a, b, c, k, n, i0, std::min(i0 + kMc, m), j0,
-                     std::min(j0 + kNc, n), accumulate);
+          block(a, b, c, k, n, i0, std::min(i0 + kMc, m), j0,
+                std::min(j0 + kNc, n), accumulate);
         }
       });
+}
+
+#if defined(__x86_64__)
+/// Whether this CPU has AVX2 (bytes = 32) or AVX-512F (bytes = 64) and the
+/// OS saves the registers it uses (XCR0: SSE and AVX state, plus the three
+/// AVX-512 states for 64). Read with CPUID and XGETBV, which add no code
+/// outside this function; __builtin_cpu_supports would link libgcc's CPU
+/// model constructor, 4.5 KB of start-up code the linker places ahead of
+/// every function of every program.
+bool cpu_runs(std::size_t bytes) {
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0 ||
+      (ecx & bit_OSXSAVE) == 0) {
+    return false;
+  }
+  unsigned xcr0 = 0;
+  unsigned xcr0_high = 0;
+  __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_high) : "c"(0));
+  const unsigned state = bytes == 64 ? 0xE6U : 0x06U;
+  if ((xcr0 & state) != state ||
+      __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) {
+    return false;
+  }
+  return (ebx & (bytes == 64 ? bit_AVX512F : bit_AVX2)) != 0;
+}
+#endif
+
+/// The widest kernel the host supports, chosen once.
+const detail::GemmKernel& selected() {
+  static const detail::GemmKernel* const widest = [] {
+    const auto kernels = detail::gemm_kernels();
+    return &*std::find_if(
+        kernels.rbegin(), kernels.rend(),
+        [](const detail::GemmKernel& g) { return g.supported; });
+  }();
+  return *widest;
+}
+
+}  // namespace
+
+namespace detail {
+
+std::span<const GemmKernel> gemm_kernels() {
+#if defined(__x86_64__)
+  static const GemmKernel kernels[] = {
+      {16, "sse2", &gemm_with<&block16>, true},
+      {32, "avx2", &gemm_with<&block32>, cpu_runs(32)},
+      {64, "avx512f", &gemm_with<&block64>, cpu_runs(64)}};
+#elif defined(__aarch64__)
+  static const GemmKernel kernels[] = {
+      {16, "neon", &gemm_with<&block16>, true}};
+#else
+  static const GemmKernel kernels[] = {
+      {16, "generic", &gemm_with<&block16>, true}};
+#endif
+  return kernels;
+}
+
+std::size_t gemm_vector_bytes() { return selected().vector_bytes; }
+
+}  // namespace detail
+
+void gemm(const float* a, const float* b, float* c, std::size_t m,
+          std::size_t k, std::size_t n, bool accumulate) {
+  selected().run(a, b, c, m, k, n, accumulate);
 }
 
 }  // namespace nocw::nn

@@ -10,6 +10,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
+#include <vector>
+
+#include "nn/gemm_detail.hpp"
 
 namespace nocw::nn {
 
@@ -44,6 +48,30 @@ inline ::testing::AssertionResult bitwise_equal(std::span<const float> got,
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+/// The gemm kernels this host runs. Each of the 16-, 32- and 64-byte widths
+/// it cannot run (not built for this architecture, or not supported by the
+/// CPU) is named in `skipped`.
+inline std::vector<detail::GemmKernel> runnable_gemm_kernels(
+    std::string& skipped) {
+  std::vector<detail::GemmKernel> out;
+  for (const std::size_t bytes : {16, 32, 64}) {
+    const detail::GemmKernel* kernel = nullptr;
+    for (const auto& g : detail::gemm_kernels()) {
+      if (g.vector_bytes == bytes) kernel = &g;
+    }
+    if (kernel != nullptr && kernel->supported) {
+      out.push_back(*kernel);
+      continue;
+    }
+    skipped += (skipped.empty() ? "" : ", ") +
+               (kernel == nullptr
+                    ? std::to_string(bytes) + "B (not built here)"
+                    : std::string(kernel->isa) + "/" +
+                          std::to_string(bytes) + "B (CPU lacks it)");
+  }
+  return out;
 }
 
 }  // namespace nocw::nn

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "gemm_reference.hpp"
+#include "nn/gemm_detail.hpp"
 #include "util/rng.hpp"
 
 namespace nocw::nn {
@@ -85,6 +87,56 @@ TEST(Gemm, MatchesNaiveAcrossShapes) {
       }
     }
   }
+}
+
+TEST(Gemm, EveryVectorWidthMatchesNaive) {
+  // One kernel template at 16-, 32- and 64-byte vectors, so 8-, 16- and
+  // 32-column register tiles. Every width the host runs gives the naive
+  // loop's bits: n on and around each tile width and past a 128-column
+  // block, m on and around the 6-row tile (m <= 6 reads B in place) and
+  // past a 96-row block, k across the 256-deep panel.
+  std::string skipped;
+  const auto kernels = runnable_gemm_kernels(skipped);
+  Xoshiro256pp rng(204);
+  for (const std::size_t n : {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 129}) {
+    for (const std::size_t m : {1, 5, 6, 7, 97}) {
+      for (const std::size_t k : {1, 255, 256, 257}) {
+        for (const double zeros : {0.0, 0.5}) {
+          for (const bool accumulate : {false, true}) {
+            const auto a = random_matrix(rng, m * k, zeros);
+            const auto b = random_matrix(rng, k * n, 0.0);
+            const auto c0 = random_matrix(rng, m * n, 0.0);
+            std::vector<float> ref = c0;
+            reference_gemm(a.data(), b.data(), ref.data(), m, k, n,
+                           accumulate);
+            for (const auto& kernel : kernels) {
+              std::vector<float> c = c0;
+              kernel.run(a.data(), b.data(), c.data(), m, k, n, accumulate);
+              ASSERT_TRUE(bitwise_equal(c, ref))
+                  << kernel.isa << "/" << kernel.vector_bytes << "B shape "
+                  << m << "x" << k << "x" << n << " zeros " << zeros
+                  << " accumulate " << accumulate;
+            }
+          }
+        }
+      }
+    }
+  }
+  if (!skipped.empty()) GTEST_SKIP() << "not run: " << skipped;
+}
+
+TEST(Gemm, SelectsWidestSupportedWidth) {
+  // gemm() runs the widest kernel the CPU supports, and gemm_kernels()
+  // always holds the 16-byte baseline, which every host runs.
+  const auto kernels = detail::gemm_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(kernels.front().vector_bytes, 16U);
+  EXPECT_TRUE(kernels.front().supported);
+  std::size_t widest = 0;
+  for (const auto& g : kernels) {
+    if (g.supported) widest = g.vector_bytes;
+  }
+  EXPECT_EQ(detail::gemm_vector_bytes(), widest);
 }
 
 TEST(Gemm, ZeroRowsInAAreSkippedCorrectly) {

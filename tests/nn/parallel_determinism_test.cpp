@@ -102,6 +102,37 @@ TEST_F(ParallelDeterminism, GemmMatchesSerialAcrossThreadCounts) {
   }
 }
 
+TEST_F(ParallelDeterminism, GemmEveryWidthMatchesSerial) {
+  // Every vector width the host runs gives the naive serial loop's bits at
+  // every thread count: several 96 x 128 blocks with column edges at each
+  // tile width, the m <= 6 Dense case, and an accumulating product.
+  std::string skipped;
+  const auto kernels = runnable_gemm_kernels(skipped);
+  const std::size_t shapes[][3] = {{150, 300, 270}, {6, 300, 601}};
+  for (const auto& s : shapes) {
+    const std::size_t m = s[0], k = s[1], n = s[2];
+    const auto a = random_vec(m * k, 10, 0.5);
+    const auto b = random_vec(k * n, 11);
+    const auto base = random_vec(m * n, 12);
+    for (const bool accumulate : {false, true}) {
+      std::vector<float> ref = base;
+      reference_gemm(a.data(), b.data(), ref.data(), m, k, n, accumulate);
+      for (const auto& kernel : kernels) {
+        for (unsigned threads : {1U, 2U, 8U}) {
+          set_global_threads(threads);
+          std::vector<float> out = base;
+          kernel.run(a.data(), b.data(), out.data(), m, k, n, accumulate);
+          ASSERT_TRUE(bitwise_equal(out, ref))
+              << kernel.isa << "/" << kernel.vector_bytes << "B shape " << m
+              << "x" << k << "x" << n << " accumulate " << accumulate
+              << " threads " << threads;
+        }
+      }
+    }
+  }
+  if (!skipped.empty()) GTEST_SKIP() << "not run: " << skipped;
+}
+
 TEST_F(ParallelDeterminism, GemmAccumulateMatchesSerial) {
   const std::size_t m = 70, k = 300, n = 270;
   const auto a = random_vec(m * k, 3);
