@@ -96,12 +96,6 @@ struct NocConfig {
   /// Cycle engine (see EngineMode). Event is the default; results are
   /// bit-identical to Dense by construction.
   EngineMode engine = EngineMode::Event;
-  /// Mesh partitioning across the global thread pool: 0 = automatic
-  /// (partition only meshes of >= 64 nodes when the pool has lanes to
-  /// spare), 1 = always serial, N > 1 = force N contiguous router ranges
-  /// (used by the equivalence tests to exercise the barriers on small
-  /// meshes). Partitioning never changes results; see DESIGN.md §11.
-  int partition_lanes = 0;
 
   [[nodiscard]] int node_count() const noexcept { return width * height; }
   [[nodiscard]] int node_x(int id) const noexcept { return id % width; }

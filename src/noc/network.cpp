@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nocw::noc {
 
@@ -36,7 +35,6 @@ Network::Network(const NocConfig& cfg)
   staged_count_.resize(lanes_total, 0);
   occ_.resize(lanes_total, 0);
   router_occ_.resize(static_cast<std::size_t>(cfg_.node_count()), 0);
-  ctxs_.resize(1);
   link_flits_.resize(
       static_cast<std::size_t>(cfg_.node_count()) * kNumPorts, 0);
   neighbor_.assign(static_cast<std::size_t>(cfg_.node_count()) * kNumPorts,
@@ -130,8 +128,9 @@ void Network::inject_phase() {
     auto& s = sources_[static_cast<std::size_t>(node)];
     if (!s.active) {
       // Drop packets with no live route at activation time (dead source or
-      // destination router, or a partitioned mesh) instead of injecting
-      // flits that could never eject — graceful degradation over deadlock.
+      // destination router, or a mesh that dead routers have split in two)
+      // instead of injecting flits that could never eject — graceful
+      // degradation over deadlock.
       while (adaptive_ && !s.pending.empty() &&
              s.pending.top().release_cycle <= stats_.cycles.value() &&
              !deliverable(node, s.pending.top().dst)) {
@@ -305,8 +304,8 @@ bool Network::deliverable(int src, int dst) const noexcept {
 
 void Network::suspect_path(const PacketDescriptor& d) {
   // Walk the packet's current route (the one its retries kept failing on)
-  // and charge every link one suspicion point. Runs on the serial commit
-  // path, so escalation order is deterministic for any lane count.
+  // and charge every link one suspicion point. Runs on the commit path, in
+  // router-id order.
   int node = d.src;
   for (int hop = 0; hop < cfg_.node_count() && node != d.dst; ++hop) {
     const int port = route_table_->next_hop(node, d.dst);
@@ -349,7 +348,7 @@ void Network::snapshot_occupancy() {
   }
 }
 
-void Network::switch_router_fast(int rid, SwitchCtx& ctx) {
+void Network::switch_router_fast(int rid) {
   auto& r = routers_[static_cast<std::size_t>(rid)];
   const std::size_t base = stage_index(rid, 0, 0);
   // Per output port, a bitmask of flattened input slots whose head flit
@@ -396,13 +395,13 @@ void Network::switch_router_fast(int rid, SwitchCtx& ctx) {
       }
       const Flit g = r.grant(slot, out);
       if (out == kLocal) {
-        ctx.ejects.emplace_back(rid, g);
+        ctx_.ejects.emplace_back(rid, g);
       } else {
         ++staged_count_[idx];
-        ctx.staged.push_back(StagedMove{nid, nport, g});
-        ++ctx.buffer_reads;
-        ++ctx.router_traversals;
-        ++ctx.link_traversals;
+        staged_.push_back(StagedMove{nid, nport, g});
+        ++ctx_.buffer_reads;
+        ++ctx_.router_traversals;
+        ++ctx_.link_traversals;
         ++link_flits_[static_cast<std::size_t>(rid) * kNumPorts +
                       static_cast<std::size_t>(out)];
       }
@@ -426,36 +425,38 @@ void Network::switch_router_fast(int rid, SwitchCtx& ctx) {
   }
 }
 
-void Network::switch_range(int rb, int re, SwitchCtx& ctx) {
+void Network::switch_phase() {
+  const int n = cfg_.node_count();
   const bool faulty = fault_.enabled();
   const auto depth = static_cast<std::size_t>(cfg_.buffer_depth);
   if (fast_switch_) {
     // Occupancy-free routers cannot allocate anything; skipping them is
     // observationally identical (faults are off on this path — their
     // counters would tick per router per cycle regardless of traffic).
-    for (int rid = rb; rid < re; ++rid) {
+    for (int rid = 0; rid < n; ++rid) {
       if (occ_mask_[static_cast<std::size_t>(rid)] != 0) {
-        switch_router_fast(rid, ctx);
+        switch_router_fast(rid);
       }
     }
     return;
   }
-  for (int rid = rb; rid < re; ++rid) {
-    if (skip_empty_this_cycle_ &&
-        router_occ_[static_cast<std::size_t>(rid)] == 0) {
+  // The event engine skips occupancy-free routers here too, unless faults
+  // are on: their counters tick per router per cycle.
+  const bool skip_empty = engine_ == EngineMode::Event && !faulty;
+  for (int rid = 0; rid < n; ++rid) {
+    if (skip_empty && router_occ_[static_cast<std::size_t>(rid)] == 0) {
       continue;
     }
     auto& r = routers_[static_cast<std::size_t>(rid)];
     if (faulty && fault_.router_stalled(stats_.cycles.value(), rid)) {
-      ++ctx.stall_cycles;
-      // Stall watchdog: consecutive stalled-while-occupied cycles. Streak
-      // slots belong to this router, so disjoint chunks never race.
+      ++ctx_.stall_cycles;
+      // Stall watchdog: consecutive stalled-while-occupied cycles.
       if (escalate_ && health_.router_up(rid) &&
           router_occ_[static_cast<std::size_t>(rid)] > 0 &&
           ++router_streak_[static_cast<std::size_t>(rid)] ==
               static_cast<std::uint32_t>(
                   cfg_.resilience.stall_threshold_cycles)) {
-        ctx.down_routers.push_back(rid);
+        pending_down_routers_.push_back(rid);
       }
       continue;  // control-path glitch: no allocation on any port this cycle
     }
@@ -467,11 +468,11 @@ void Network::switch_range(int rb, int re, SwitchCtx& ctx) {
         // ejection is committed later in router-id order.
         const auto in = r.allocate_with(out, [](const Flit&) { return true; });
         if (!in) continue;
-        ctx.ejects.emplace_back(rid, r.grant(*in, out));
+        ctx_.ejects.emplace_back(rid, r.grant(*in, out));
         continue;
       }
       if (faulty && fault_.link_down(stats_.cycles.value(), rid, out)) {
-        ++ctx.link_fault_cycles;
+        ++ctx_.link_fault_cycles;
         if (escalate_ && health_.link_up(rid, out) &&
             neighbor_[static_cast<std::size_t>(rid) * kNumPorts +
                       static_cast<std::size_t>(out)] >= 0 &&
@@ -480,7 +481,7 @@ void Network::switch_range(int rb, int re, SwitchCtx& ctx) {
                            static_cast<std::size_t>(out)] ==
                 static_cast<std::uint32_t>(
                     cfg_.resilience.stall_threshold_cycles)) {
-          ctx.down_links.push_back(rid * kNumPorts + out);
+          pending_down_links_.push_back(rid * kNumPorts + out);
         }
         continue;  // transient outage: flits stay buffered and retry
       }
@@ -510,7 +511,7 @@ void Network::switch_range(int rb, int re, SwitchCtx& ctx) {
       // stalls the output for traffic on other VCs. Capacity is judged
       // against the cycle-boundary snapshot plus flits staged toward the
       // FIFO this cycle — credits return at cycle edges, so the decision
-      // is independent of router visit order (and of lane scheduling).
+      // is independent of router visit order.
       const auto in = r.allocate_with(out, [&](const Flit& f) {
         const std::size_t idx =
             stage_index(nid, nport, static_cast<int>(f.vc));
@@ -520,19 +521,16 @@ void Network::switch_range(int rb, int re, SwitchCtx& ctx) {
       if (!in) continue;
       Flit f = r.grant(*in, out);
       if (faulty) {
-        ctx.bit_flips += static_cast<std::uint64_t>(
+        ctx_.bit_flips += static_cast<std::uint64_t>(
             fault_.corrupt_payload(f.payload, stats_.cycles.value(), rid, out));
       }
       const std::size_t idx =
           stage_index(nid, nport, static_cast<int>(f.vc));
-      // Single producer per downstream (port, VC): only this router's link
-      // feeds it, so the staged count and link counter are race-free even
-      // when ranges run on different lanes.
       ++staged_count_[idx];
-      ctx.staged.push_back(StagedMove{nid, nport, f});
-      ++ctx.buffer_reads;
-      ++ctx.router_traversals;
-      ++ctx.link_traversals;
+      staged_.push_back(StagedMove{nid, nport, f});
+      ++ctx_.buffer_reads;
+      ++ctx_.router_traversals;
+      ++ctx_.link_traversals;
       ++link_flits_[static_cast<std::size_t>(rid) * kNumPorts +
                     static_cast<std::size_t>(out)];
       if (trace_noc_ && hop_seq_++ % trace_sample_ == 0) {
@@ -545,77 +543,32 @@ void Network::switch_range(int rb, int re, SwitchCtx& ctx) {
   }
 }
 
-void Network::commit_switch(SwitchCtx& ctx) {
-  // Contexts commit in chunk (= ascending router-id) order, so ejection
-  // side effects — latency accumulation, CRC verdicts, NACK requeues, the
-  // eject hook — fire in exactly the order a serial sweep produces.
-  for (const auto& [node, f] : ctx.ejects) eject_flit(f, node);
-  stats_.buffer_reads += ctx.buffer_reads;
-  stats_.router_traversals += ctx.router_traversals;
-  stats_.link_traversals += ctx.link_traversals;
-  stats_.router_stall_cycles += units::Cycles{ctx.stall_cycles};
-  stats_.link_fault_cycles += units::Cycles{ctx.link_fault_cycles};
-  stats_.payload_bit_flips += ctx.bit_flips;
-  // ctx.staged is pushed into the downstream FIFOs directly at the end of
-  // step_cycle — no copy through staged_, which holds only injections.
-}
-
-int Network::partition_chunks() {
-  if (trace_noc_ || cfg_.partition_lanes == 1 ||
-      ThreadPool::in_parallel_region()) {
-    return 1;  // hop-trace sampling shares one sequence counter; nested
-               // regions run serial by pool policy
-  }
-  const int n = cfg_.node_count();
-  if (cfg_.partition_lanes > 1) return std::min(cfg_.partition_lanes, n);
-  if (n < kAutoPartitionNodes) return 1;
-  const int pool = static_cast<int>(global_thread_count());
-  return pool <= 1 ? 1 : std::min(pool, n);
+void Network::commit_switch() {
+  // Ejection side effects — latency accumulation, CRC verdicts, NACK
+  // requeues, the eject hook — fire in router-id order after the whole
+  // switch pass, then the pass's counters land.
+  for (const auto& [node, f] : ctx_.ejects) eject_flit(f, node);
+  stats_.buffer_reads += ctx_.buffer_reads;
+  stats_.router_traversals += ctx_.router_traversals;
+  stats_.link_traversals += ctx_.link_traversals;
+  stats_.router_stall_cycles += units::Cycles{ctx_.stall_cycles};
+  stats_.link_fault_cycles += units::Cycles{ctx_.link_fault_cycles};
+  stats_.payload_bit_flips += ctx_.bit_flips;
 }
 
 void Network::step_cycle() {
   staged_.clear();
+  ctx_.clear();
   std::fill(staged_count_.begin(), staged_count_.end(),
             static_cast<std::uint8_t>(0));
-  skip_empty_this_cycle_ =
-      engine_ == EngineMode::Event && !fault_.enabled();
   snapshot_occupancy();
-  const int n = cfg_.node_count();
-  const int chunks = partition_chunks();
-  std::size_t chunk_ctxs = 1;
-  if (chunks <= 1) {
-    ctxs_[0].clear();
-    switch_range(0, n, ctxs_[0]);
-    commit_switch(ctxs_[0]);
-  } else {
-    // Chunk boundaries depend only on (n, chunks); the pool hands chunks to
-    // lanes dynamically, so contexts are indexed by chunk id, never lane.
-    const std::size_t grain =
-        (static_cast<std::size_t>(n) + static_cast<std::size_t>(chunks) - 1) /
-        static_cast<std::size_t>(chunks);
-    const std::size_t actual =
-        (static_cast<std::size_t>(n) + grain - 1) / grain;
-    if (ctxs_.size() < actual) ctxs_.resize(actual);
-    // Clear before dispatch: the pool's serial fast path may run the whole
-    // range as one chunk into ctxs_[0], and a stale context must not be
-    // committed.
-    for (std::size_t c = 0; c < actual; ++c) ctxs_[c].clear();
-    global_pool().parallel_for(
-        0, static_cast<std::size_t>(n), grain,
-        [&](std::size_t b, std::size_t e, unsigned) {
-          switch_range(static_cast<int>(b), static_cast<int>(e),
-                       ctxs_[b / grain]);
-        });
-    for (std::size_t c = 0; c < actual; ++c) commit_switch(ctxs_[c]);
-    chunk_ctxs = actual;
-  }
+  switch_phase();
+  commit_switch();
   inject_phase();
-  // Deliver this cycle's moves: switch traversals live in the chunk
-  // contexts (already committed in chunk order), injections in staged_.
-  // Each (node, port, VC) FIFO receives at most one flit per cycle —
-  // single producer per link plus local-only injection — so push order
-  // across buffers is immaterial.
-  const auto push_move = [&](const StagedMove& m) {
+  // Deliver this cycle's moves. Each (node, port, VC) FIFO receives at most
+  // one flit per cycle — one upstream link per input port plus local-only
+  // injection — so push order across buffers is immaterial.
+  for (const StagedMove& m : staged_) {
     auto& r = routers_[static_cast<std::size_t>(m.router)];
     auto& buf = r.input_vc(m.port, static_cast<int>(m.flit.vc));
     if (fast_switch_) {
@@ -632,12 +585,8 @@ void Network::step_cycle() {
     }
     buf.push(m.flit);
     ++stats_.buffer_writes;
-  };
-  for (std::size_t c = 0; c < chunk_ctxs; ++c) {
-    for (const auto& m : ctxs_[c].staged) push_move(m);
   }
-  for (const auto& m : staged_) push_move(m);
-  if (escalate_) process_escalations(chunk_ctxs);
+  if (escalate_) process_escalations();
   ++stats_.cycles;
   if (observe_ && stats_.cycles.value() % kQueueSampleInterval == 0) {
     sample_queue_depths();
@@ -648,22 +597,13 @@ void Network::step_cycle() {
   }
 }
 
-void Network::step() { step_cycle(); }
-
-void Network::process_escalations(std::size_t chunk_ctxs) {
-  // Merge the chunks' watchdog verdicts with the retry-suspicion queue.
-  // Sorting (and deduplicating) makes the apply order a function of the
-  // entity ids alone, never of lane scheduling.
-  std::vector<int> links = std::move(pending_down_links_);
-  pending_down_links_.clear();
-  std::vector<int> routers;
-  for (std::size_t c = 0; c < chunk_ctxs; ++c) {
-    links.insert(links.end(), ctxs_[c].down_links.begin(),
-                 ctxs_[c].down_links.end());
-    routers.insert(routers.end(), ctxs_[c].down_routers.begin(),
-                   ctxs_[c].down_routers.end());
-  }
+void Network::process_escalations() {
+  auto& links = pending_down_links_;
+  auto& routers = pending_down_routers_;
   if (links.empty() && routers.empty()) return;
+  // Sorting (and deduplicating) makes the apply order a function of the
+  // entity ids alone, whichever of the watchdog and suspect_path raised
+  // them first.
   std::sort(links.begin(), links.end());
   links.erase(std::unique(links.begin(), links.end()), links.end());
   std::sort(routers.begin(), routers.end());
@@ -681,6 +621,8 @@ void Network::process_escalations(std::size_t chunk_ctxs) {
       ++newly_marked;
     }
   }
+  links.clear();
+  routers.clear();
   if (newly_marked == 0) return;
   // Each escalation spent one detection window stalled before the verdict.
   stats_.recovery_cycles +=

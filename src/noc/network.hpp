@@ -1,12 +1,13 @@
 // Cycle engine for the mesh: routers + NIs + traffic sources.
 //
-// One step() is one clock cycle. All switch decisions in a cycle observe the
-// state at the cycle boundary and moves are committed together, so a flit
+// One step_cycle() is one clock cycle. All switch decisions in a cycle observe
+// the state at the cycle boundary and moves are committed together, so a flit
 // advances at most one hop per cycle and arbitration is order-independent.
 // Downstream capacity is judged against a cycle-boundary occupancy snapshot
 // (credits updated at cycle edges, i.e. one cycle of credit-return latency),
-// which makes the switch core independent of router iteration order — the
-// property the partitioned (multi-threaded) stepping relies on.
+// which makes the switch core independent of router visit order — the
+// property the event engine's empty-router skip relies on. The core is
+// serial by design; NoC parallelism lives at sweep level (DESIGN.md §11).
 // Sources hold packet descriptors (not expanded flits), so streaming a
 // multi-million-flit layer costs O(1) memory per flow.
 //
@@ -50,9 +51,6 @@ class Network {
   /// eligible at release_cycle and inject one flit per cycle per node.
   void add_packet(const PacketDescriptor& p);
   void add_packets(std::span<const PacketDescriptor> ps);
-
-  /// Advance one clock cycle.
-  void step();
 
   /// True when no pending, queued, or in-flight flits remain. O(1): the
   /// sources maintain their queued-flit total and router occupancy equals
@@ -157,11 +155,6 @@ class Network {
   /// Cycle-batch granularity at which the run loops self-check.
   static constexpr std::uint64_t kInvariantCheckInterval = 1024;
 
-  /// Meshes at least this large partition automatically when the global
-  /// pool has idle lanes (cfg.partition_lanes = 0). Below it the per-cycle
-  /// fork-join barrier costs more than the router work it parallelizes.
-  static constexpr int kAutoPartitionNodes = 64;
-
  private:
   struct Source {
     struct Cmp {
@@ -187,18 +180,11 @@ class Network {
     Flit flit;
   };
 
-  /// Per-chunk output of the switch core. A partitioned cycle gives each
-  /// contiguous router range its own context; everything it accumulates is
-  /// either additive (counters) or committed afterwards in router-id order
-  /// (ejects, staged moves), so lane scheduling can never reorder results.
+  /// What the switch pass defers to commit_switch(): ejections, applied in
+  /// router-id order once every router has switched, and the pass's
+  /// counters, added to stats_ after them (the eject hook reads stats_).
   struct SwitchCtx {
-    std::vector<StagedMove> staged;
     std::vector<std::pair<int, Flit>> ejects;  ///< (node, flit), id order
-    /// Watchdog escalations raised by this chunk's routers: flattened link
-    /// ids / router ids whose stall streak crossed the threshold. Merged,
-    /// sorted and applied serially at the end of the cycle.
-    std::vector<int> down_links;
-    std::vector<int> down_routers;
     std::uint64_t buffer_reads = 0;
     std::uint64_t router_traversals = 0;
     std::uint64_t link_traversals = 0;
@@ -206,10 +192,7 @@ class Network {
     std::uint64_t link_fault_cycles = 0;
     std::uint64_t bit_flips = 0;
     void clear() noexcept {
-      staged.clear();
       ejects.clear();
-      down_links.clear();
-      down_routers.clear();
       buffer_reads = router_traversals = link_traversals = 0;
       stall_cycles = link_fault_cycles = bit_flips = 0;
     }
@@ -219,25 +202,21 @@ class Network {
   /// Snapshot per-(node, port, VC) occupancy and per-router totals at the
   /// cycle boundary; the switch core's capacity predicate reads only this.
   void snapshot_occupancy();
-  /// Switch allocation + grants for routers [rb, re). Thread-safe for
-  /// disjoint ranges: mutates only the routers in range, their outgoing
-  /// staged counts (single-producer per entry), their own link counters,
-  /// and `ctx`.
-  void switch_range(int rb, int re, SwitchCtx& ctx);
+  /// Switch allocation + grants for every router, in router-id order:
+  /// traversals go to staged_, ejections and counters to ctx_.
+  void switch_phase();
   /// Candidate-mask allocation for one router — the event engine's fast
-  /// path. Bit-identical to the reference loop in switch_range (same
+  /// path. Bit-identical to the reference loop in switch_phase (same
   /// winners, same order); only the scan is restructured around per-output
   /// head bitmasks. Gated off under faults and live NoC tracing, which
   /// hook the reference loop per entity.
-  void switch_router_fast(int rid, SwitchCtx& ctx);
-  /// Apply one context's deferred effects on shared state (serial, in
-  /// chunk order).
-  void commit_switch(SwitchCtx& ctx);
-  /// One full cycle through the shared core: snapshot, switch (serial or
-  /// partitioned), inject, commit, sample.
+  void switch_router_fast(int rid);
+  /// Apply the switch pass's deferred effects (ctx_) to shared state.
+  void commit_switch();
+  /// Advance one clock cycle through the shared core: snapshot, switch,
+  /// commit, inject, deliver, escalate, sample. The only stepper; callers
+  /// drive the network through run_until_drained() / run_cycles().
   void step_cycle();
-  /// Router ranges to switch concurrently this cycle (1 = serial).
-  [[nodiscard]] int partition_chunks();
   /// True when stepping the current cycle would change nothing but the
   /// cycle counter: nothing buffered, no source mid-packet, faults off.
   [[nodiscard]] bool idle_now() const noexcept;
@@ -257,10 +236,10 @@ class Network {
   /// every link on its current route grows one suspicion point; links that
   /// reach retry_suspicion_threshold are queued for quarantine.
   void suspect_path(const PacketDescriptor& d);
-  /// End-of-cycle escalation: merge the chunks' watchdog verdicts with the
+  /// End-of-cycle escalation: take this cycle's watchdog verdicts and
   /// suspicion queue, mark new casualties in the health map, flush, requeue
-  /// and rebuild. Serial; deterministic for any lane count.
-  void process_escalations(std::size_t chunk_ctxs);
+  /// and rebuild.
+  void process_escalations();
   /// Drop every buffered flit network-wide, cancel mid-injection sources,
   /// and requeue the affected packets (in packet-id order) for a fresh
   /// attempt over the rebuilt routes.
@@ -299,8 +278,11 @@ class Network {
   std::vector<std::uint32_t> router_streak_;  ///< per router
   /// Retry-exhaustion suspicion points per link (see suspect_path).
   std::vector<std::uint32_t> link_suspicion_;
-  /// Links fingered by suspect_path this cycle, quarantined at cycle end.
+  /// Links (flattened ids) fingered this cycle by the stall watchdog or
+  /// suspect_path, and routers fingered by the watchdog; quarantined at
+  /// cycle end.
   std::vector<int> pending_down_links_;
+  std::vector<int> pending_down_routers_;
 
   /// Packets in flight: packet id → original descriptor (attempt count
   /// included), so a CRC failure at ejection — or a quarantine flush — can
@@ -308,6 +290,8 @@ class Network {
   std::unordered_map<std::uint32_t, PacketDescriptor> inflight_;
   /// Ejection-side running CRC per in-flight packet id.
   std::unordered_map<std::uint32_t, std::uint32_t> eject_crc_;
+  /// This cycle's moves: switch traversals (router-id order), then
+  /// injections. Pushed into the downstream FIFOs at the end of the cycle.
   std::vector<StagedMove> staged_;
   // staged occupancy per (router, port, vc) for capacity checks in a cycle
   std::vector<std::uint8_t> staged_count_;
@@ -315,15 +299,12 @@ class Network {
   std::vector<std::uint16_t> occ_;
   /// Cycle-boundary buffered-flit total per router (empty-router skip).
   std::vector<std::uint32_t> router_occ_;
-  /// Switch contexts, one per partition chunk (index 0 doubles as the
-  /// serial context). Persistent so per-cycle stepping does not allocate.
-  std::vector<SwitchCtx> ctxs_;
+  /// The switch pass's deferred effects; persistent so per-cycle stepping
+  /// does not allocate.
+  SwitchCtx ctx_;
   /// Downstream node per (router, output port); -1 for kLocal and mesh
   /// edges. Built once at construction for the switch fast path.
   std::vector<int> neighbor_;
-  /// True while the current cycle may skip occupancy-free routers (event
-  /// engine, faults off — fault counters tick per router per cycle).
-  bool skip_empty_this_cycle_ = false;
   /// Fixed at construction: the run may use switch_router_fast (event
   /// engine, faults off, tracing off, slot count within one bitmask).
   /// Engine, fault and trace state never change after construction, so

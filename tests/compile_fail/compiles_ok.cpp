@@ -1,6 +1,7 @@
 // CONTROL — MUST COMPILE. Exercises the same headers and legal forms of the
 // operations the sibling files misuse; if this file fails, the negative
 // tests' compiler invocation is broken and their failures are meaningless.
+#include "noc/network.hpp"
 #include "obs/registry.hpp"
 #include "util/units.hpp"
 
@@ -13,5 +14,7 @@ int main() {
   nocw::obs::Registry reg;
   reg.set_gauge("energy.total", j);
   reg.set_counter("noc.flits", flits_of(w));
+  nocw::noc::Network net{nocw::noc::NocConfig{}};
+  net.run_cycles(1);
   return (c.value() == 15 && ratio > 0.0) ? 0 : 1;
 }

@@ -1,9 +1,10 @@
-// Event engine vs dense reference, and partitioned vs serial stepping.
+// Event engine vs dense reference.
 //
-// The event engine (O(1) drain tracking, empty-router skip, idle jumps) and
-// the mesh partitioning are pure speed levers: every counter, latency
-// moment, and time-series point must be bit-identical to the dense serial
-// reference, with and without fault injection. These tests are the gate.
+// The event engine (O(1) drain tracking, empty-router skip, idle jumps) is
+// a pure speed lever: every counter, latency moment, and time-series point
+// must be bit-identical to the dense reference, with and without fault
+// injection, and neither engine may depend on the global pool size
+// (NOCW_THREADS). These tests are the gate.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -47,12 +48,11 @@ void expect_identical(const NocStats& a, const NocStats& b) {
   EXPECT_EQ(a.packets_dropped, b.packets_dropped);
 }
 
-NocStats run_config(NocConfig cfg, EngineMode engine, int lanes,
-                    std::uint64_t seed) {
+NocStats run_config(NocConfig cfg, EngineMode engine, std::uint64_t seed,
+                    int packets = 300, std::uint32_t flits = 6) {
   cfg.engine = engine;
-  cfg.partition_lanes = lanes;
   Network net(cfg);
-  net.add_packets(uniform_random_traffic(cfg, 300, 6, seed));
+  net.add_packets(uniform_random_traffic(cfg, packets, flits, seed));
   net.run_until_drained(1000000);
   return net.stats();
 }
@@ -61,10 +61,25 @@ TEST(NocEngine, EventMatchesDenseOnRandomTraffic) {
   for (const std::uint64_t seed : {11u, 22u, 33u}) {
     NocConfig cfg;
     cfg.virtual_channels = 2;
-    const NocStats dense = run_config(cfg, EngineMode::Dense, 1, seed);
-    const NocStats event = run_config(cfg, EngineMode::Event, 1, seed);
+    const NocStats dense = run_config(cfg, EngineMode::Dense, seed);
+    const NocStats event = run_config(cfg, EngineMode::Event, seed);
     expect_identical(dense, event);
   }
+  // An 8x8 mesh at pool sizes 1 and 8, pinned to the cycle count and
+  // latency sum the engine has always produced for this traffic.
+  NocConfig cfg;
+  cfg.width = cfg.height = 8;
+  cfg.virtual_channels = 2;
+  const unsigned before = global_thread_count();
+  for (const unsigned threads : {1u, 8u}) {
+    set_global_threads(threads);
+    const NocStats dense = run_config(cfg, EngineMode::Dense, 7, 2560, 8);
+    const NocStats event = run_config(cfg, EngineMode::Event, 7, 2560, 8);
+    expect_identical(dense, event);
+    EXPECT_EQ(event.cycles.value(), 1228u) << "threads=" << threads;
+    EXPECT_EQ(event.packet_latency.sum(), 1302142.0) << "threads=" << threads;
+  }
+  set_global_threads(before);
 }
 
 TEST(NocEngine, EventMatchesDenseUnderFaultsAndCrc) {
@@ -74,45 +89,25 @@ TEST(NocEngine, EventMatchesDenseUnderFaultsAndCrc) {
   cfg.fault.router_stall_probability = 1e-4;
   cfg.fault.seed = 99;
   cfg.protection.crc = true;
-  const NocStats dense = run_config(cfg, EngineMode::Dense, 1, 5);
-  const NocStats event = run_config(cfg, EngineMode::Event, 1, 5);
+  const NocStats dense = run_config(cfg, EngineMode::Dense, 5);
+  const NocStats event = run_config(cfg, EngineMode::Event, 5);
   // The traffic must actually exercise the recovery machinery for this
   // comparison to mean anything.
   EXPECT_GT(dense.crc_failures, 0u);
   EXPECT_GT(dense.retransmissions, 0u);
   expect_identical(dense, event);
-}
-
-TEST(NocEngine, PartitionedMatchesSerialAcrossThreadCounts) {
-  NocConfig cfg;
-  cfg.virtual_channels = 2;
-  const NocStats serial = run_config(cfg, EngineMode::Event, 1, 77);
+  // The same faults on an 8x8 mesh: identical at pool sizes 1 and 8.
+  cfg.width = cfg.height = 8;
   const unsigned before = global_thread_count();
-  for (const unsigned threads : {1u, 2u, 8u}) {
+  set_global_threads(1);
+  const NocStats ref = run_config(cfg, EngineMode::Dense, 13, 1200);
+  EXPECT_GT(ref.crc_failures, 0u);
+  for (const unsigned threads : {1u, 8u}) {
     set_global_threads(threads);
-    // Forced 4-way partition: chunk boundaries are fixed by the lane count,
-    // so results must not depend on how many pool threads execute them.
-    const NocStats part = run_config(cfg, EngineMode::Event, 4, 77);
-    expect_identical(serial, part);
-    const NocStats dense_part = run_config(cfg, EngineMode::Dense, 4, 77);
-    expect_identical(serial, dense_part);
+    expect_identical(ref, run_config(cfg, EngineMode::Dense, 13, 1200));
+    expect_identical(ref, run_config(cfg, EngineMode::Event, 13, 1200));
   }
   set_global_threads(before);
-}
-
-TEST(NocEngine, PartitionedMatchesSerialUnderFaults) {
-  NocConfig cfg;
-  cfg.fault.bit_flip_probability = 2e-4;
-  cfg.fault.router_stall_probability = 1e-4;
-  cfg.fault.seed = 31;
-  cfg.protection.crc = true;
-  const NocStats serial = run_config(cfg, EngineMode::Event, 1, 13);
-  const unsigned before = global_thread_count();
-  set_global_threads(4);
-  const NocStats part = run_config(cfg, EngineMode::Event, 4, 13);
-  set_global_threads(before);
-  EXPECT_GT(serial.crc_failures, 0u);
-  expect_identical(serial, part);
 }
 
 TEST(NocEngine, TimeSeriesIdenticalAcrossEngines) {

@@ -6,6 +6,7 @@
 // a typed error instead of a silent hang when the caller opts in.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "noc/fault.hpp"
@@ -13,6 +14,7 @@
 #include "noc/routing.hpp"
 #include "noc/traffic.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace nocw::noc {
 namespace {
@@ -190,11 +192,10 @@ void expect_stats_equal(const NocStats& a, const NocStats& b,
   EXPECT_EQ(a.packet_latency.mean(), b.packet_latency.mean()) << context;
 }
 
-NocStats run_escalation(int partition_lanes, EngineMode engine) {
+NocStats run_escalation(EngineMode engine) {
   NocConfig cfg = escalation_cfg();
   cfg.fault.permanent_link_outages = 1;
   cfg.fault.seed = 11;
-  cfg.partition_lanes = partition_lanes;
   cfg.engine = engine;
   Network net(cfg);
   net.add_packets(uniform_random_traffic(cfg, 300, 4, 99));
@@ -203,19 +204,26 @@ NocStats run_escalation(int partition_lanes, EngineMode engine) {
   return net.stats();
 }
 
-TEST(Resilience, EscalationDeterministicAcrossPartitionLanes) {
-  // Watchdog verdicts are gathered per partition chunk and committed in one
-  // sorted, deduplicated serial pass — the lane count must not be able to
-  // change which entities get quarantined or when.
-  const NocStats ref = run_escalation(1, EngineMode::Event);
+TEST(Resilience, EscalationDeterministicAcrossPoolSizes) {
+  // Watchdog verdicts and retry suspicions are applied in one sorted,
+  // deduplicated pass at cycle end — the global pool size must not be able
+  // to change which entities get quarantined or when.
+  const unsigned before = global_thread_count();
+  set_global_threads(1);
+  const NocStats ref = run_escalation(EngineMode::Event);
   EXPECT_GE(ref.links_quarantined + ref.routers_quarantined, 1u);
-  expect_stats_equal(run_escalation(2, EngineMode::Event), ref, "lanes=2");
-  expect_stats_equal(run_escalation(4, EngineMode::Event), ref, "lanes=4");
+  for (const unsigned threads : {2u, 4u}) {
+    set_global_threads(threads);
+    const std::string context = "threads=" + std::to_string(threads);
+    expect_stats_equal(run_escalation(EngineMode::Event), ref,
+                       context.c_str());
+  }
+  set_global_threads(before);
 }
 
 TEST(Resilience, EscalationIdenticalAcrossEngines) {
-  expect_stats_equal(run_escalation(1, EngineMode::Dense),
-                     run_escalation(1, EngineMode::Event), "dense vs event");
+  expect_stats_equal(run_escalation(EngineMode::Dense),
+                     run_escalation(EngineMode::Event), "dense vs event");
 }
 
 TEST(Resilience, DrainTimeoutNamesFaultAndRoutingState) {

@@ -62,18 +62,6 @@ Rules (all scoped to src/, the library code):
               would silently ignore quarantined links/routers and ship
               packets into a hole the recovery machinery cannot see.
 
-  engine      direct Network::step() calls (`x.step()` / `p->step()`) are
-              forbidden outside src/noc/network.{cpp,hpp}. Callers drive
-              the network through run_until_drained() / advance_idle(),
-              which route through the engine (event or dense) selected by
-              NocConfig::engine. A hand-rolled step loop bypasses the
-              engine's drain accounting and idle jumps, so it would not
-              be covered by the dense/event equivalence tests and could
-              diverge from both without any gate noticing. Unlike the
-              other source rules this one also scans tests/ and examples/
-              (engine-only pass) — those are exactly where ad-hoc step
-              loops tend to appear.
-
   serve       (scoped to src/serve/) direct AcceleratorSim simulate() /
               simulate_layer() calls are forbidden outside
               src/serve/serve_sim.cpp, the audited ServeSim driver path.
@@ -130,7 +118,6 @@ RNG_ALLOWED = "src/util/rng.hpp"
 ASSERT_ALLOWED = "src/util/check.hpp"
 FAULT_ALLOWED = ("src/noc/fault.cpp", "src/noc/fault.hpp")
 PRINT_ALLOWED = "bench/bench_util.cpp"
-ENGINE_ALLOWED = ("src/noc/network.cpp", "src/noc/network.hpp")
 ROUTE_ALLOWED = ("src/noc/routing.cpp", "src/noc/routing.hpp",
                  "src/noc/router.cpp")
 SERVE_ALLOWED = ("src/serve/serve_sim.cpp",)
@@ -170,10 +157,6 @@ COUT_RE = re.compile(r"std::cout")
 ASSERT_RE = re.compile(r"\bassert\s*\(")
 FAULT_RE = re.compile(r"\bfault_hash\s*\(")
 ROUTE_RE = re.compile(r"\bdor_next_hop\s*\(")
-# A member call to a zero-argument step(): `net.step()` or `net->step()`.
-# Network::step() is the only zero-arg step() in the tree; the member-access
-# prefix keeps the rule from matching definitions or unrelated free functions.
-STEP_RE = re.compile(r"(?:\.|->)\s*step\s*\(\s*\)")
 # A member call to AcceleratorSim's simulate()/simulate_layer(). Within
 # src/serve/ only the audited ServeSim driver may invoke the accelerator;
 # schedulers and generators must consult the precomputed ServiceProfiles.
@@ -268,31 +251,6 @@ def lint_metric_units(rel: str, text: str) -> list[str]:
     return findings
 
 
-def lint_engine_line(rel: str, lineno: int, line: str) -> list[str]:
-    """The [engine] rule for one comment-stripped line; shared by the src/,
-    bench/ and tests//examples/ passes."""
-    if rel in ENGINE_ALLOWED or not STEP_RE.search(line):
-        return []
-    return [
-        f"{rel}:{lineno}: [engine] direct step() call outside the NoC "
-        f"engine; drive the network with run_until_drained() / "
-        f"advance_idle() so the selected engine (event or dense) stays "
-        f"on the audited drain path"]
-
-
-def lint_engine_file(root: pathlib.Path, path: pathlib.Path) -> list[str]:
-    """Engine-only pass for tests/ and examples/: the other source rules
-    deliberately do not apply there (tests print, seed ad-hoc RNGs, etc.),
-    but a hand-rolled step loop is exactly as engine-bypassing in a test as
-    in library code."""
-    rel = path.relative_to(root).as_posix()
-    text = strip_comments(path.read_text(encoding="utf-8"))
-    findings = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        findings.extend(lint_engine_line(rel, lineno, line))
-    return findings
-
-
 def lint_file(root: pathlib.Path, path: pathlib.Path) -> list[str]:
     rel = path.relative_to(root).as_posix()
     text = strip_comments(path.read_text(encoding="utf-8"))
@@ -349,7 +307,6 @@ def lint_file(root: pathlib.Path, path: pathlib.Path) -> list[str]:
                 f"{rel}:{lineno}: [slo] slo_window_start() outside obs/slo; "
                 f"one tumbling alignment keeps windows, burn rates and "
                 f"exemplar pins mutually consistent")
-        findings.extend(lint_engine_line(rel, lineno, line))
     findings.extend(lint_metric_units(rel, text))
     return findings
 
@@ -376,7 +333,6 @@ def lint_bench_file(root: pathlib.Path, path: pathlib.Path) -> list[str]:
                 f"{rel}:{lineno}: [slo] slo_window_start() outside obs/slo; "
                 f"one tumbling alignment keeps windows, burn rates and "
                 f"exemplar pins mutually consistent")
-        findings.extend(lint_engine_line(rel, lineno, line))
     findings.extend(lint_metric_units(rel, text))
     if (MAIN_RE.search(text) and rel != PRINT_ALLOWED
             and not WRITE_SUMMARY_RE.search(text)):
@@ -400,13 +356,6 @@ def lint_tree(root: pathlib.Path) -> list[str]:
         for path in sorted(bench.rglob("*")):
             if path.suffix in (".cpp", ".hpp", ".h", ".cc"):
                 findings.extend(lint_bench_file(root, path))
-    for sub in ("tests", "examples"):
-        d = root / sub
-        if not d.is_dir():
-            continue
-        for path in sorted(d.rglob("*")):
-            if path.suffix in (".cpp", ".hpp", ".h", ".cc"):
-                findings.extend(lint_engine_file(root, path))
     return findings
 
 
@@ -446,14 +395,6 @@ def self_test() -> int:
             "int hop(const nocw::noc::NocConfig& c) {\n"
             "  return nocw::noc::dor_next_hop(c, 0, 15);\n"
             "}\n",
-        "src/eval/bad_step.cpp":
-            "#include \"noc/network.hpp\"\n"
-            "void drain(nocw::noc::Network& net) {\n"
-            "  while (!net.drained()) net.step();\n"
-            "}\n",
-        "tests/noc/bad_step_test.cpp":
-            "#include \"noc/network.hpp\"\n"
-            "void tick(nocw::noc::Network* net) { net->step(); }\n",
         "src/serve/bad_sim.cpp":
             "#include \"accel/simulator.hpp\"\n"
             "double cost(const nocw::accel::AcceleratorSim& sim,\n"
@@ -528,16 +469,6 @@ def self_test() -> int:
             "int fallback(const nocw::noc::NocConfig& c, int id, int dst) {\n"
             "  return nocw::noc::dor_next_hop(c, id, dst);\n"
             "}\n",
-        "src/noc/network.cpp":
-            "// the engine itself may step, and stepper() members elsewhere\n"
-            "void Network::run() { while (!drained()) step(); this->step(); }\n",
-        "tests/noc/good_step_test.cpp":
-            "#include \"noc/network.hpp\"\n"
-            "// step() in a comment is fine; run_until_drained is the API\n"
-            "void drain(nocw::noc::Network& net) {\n"
-            "  net.run_until_drained(1000);\n"
-            "  (void)net.stats().step_cycles;\n"
-            "}\n",
         "src/serve/serve_sim.cpp":
             "#include \"accel/simulator.hpp\"\n"
             "// the audited driver path may run the accelerator\n"
@@ -590,8 +521,6 @@ def self_test() -> int:
         "bench/bad_progress.cpp": "[print]",
         "bench/bad_manifest.cpp": "[manifest]",
         "src/accel/bad_route.cpp": "[route]",
-        "src/eval/bad_step.cpp": "[engine]",
-        "tests/noc/bad_step_test.cpp": "[engine]",
         "src/serve/bad_sim.cpp": "[serve]",
         "src/noc/bad_traceid.cpp": "[trace-ctx]",
         "src/eval/bad_mint.cpp": "[trace-ctx]",
