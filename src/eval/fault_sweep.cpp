@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <span>
 
 #include "eval/layer_selection.hpp"
@@ -77,38 +76,34 @@ NocCost noc_cost(const FaultSweepConfig& cfg, double ber, bool protect) {
   return out;
 }
 
-/// Fixed per-sweep state shared by every point: the selected layer, its
-/// original weights, and the cached activations feeding it (the expensive
-/// network prefix runs exactly once, as in DeltaEvaluator).
+/// Fixed per-sweep state shared by every point: the model's graph, the
+/// selected layer and its kernel, and the cached activations feeding it
+/// (the expensive network prefix runs exactly once, as in DeltaEvaluator).
 struct SweepContext {
   const FaultSweepConfig* cfg = nullptr;
+  const nn::Graph* graph = nullptr;
   int selected = -1;
-  std::vector<float> original;
+  std::span<const float> kernel;  ///< the selected layer's own weights
   nn::Tensor captured;
   std::vector<int> labels;
 
-  /// Install `weights` into the selected layer of `g`, replay the tail,
-  /// restore, and score top-k accuracy. `weights` must match the kernel.
-  [[nodiscard]] double measure(nn::Graph& g,
-                               std::span<const float> weights) const {
-    auto kernel = g.layer(selected).kernel();
-    NOCW_CHECK_EQ(weights.size(), kernel.size());
-    std::copy(weights.begin(), weights.end(), kernel.begin());
-    const nn::Tensor out = g.forward_tail(captured, selected);
-    std::copy(original.begin(), original.end(), kernel.begin());
+  /// Replay the tail with `weights` as the selected layer's kernel and
+  /// score top-k accuracy. `weights` must match the kernel's size.
+  [[nodiscard]] double measure(std::span<const float> weights) const {
+    const nn::Tensor out =
+        graph->forward_tail(captured, selected, {selected, weights});
     return nn::topk_accuracy(out, labels, cfg->topk);
   }
 };
 
 /// Accuracy of a maximally corrupted stream: every weight lost.
-double measure_all_zero(const SweepContext& ctx, nn::Graph& g) {
-  const std::vector<float> zeros(ctx.original.size(), 0.0F);
-  return ctx.measure(g, zeros);
+double measure_all_zero(const SweepContext& ctx) {
+  const std::vector<float> zeros(ctx.kernel.size(), 0.0F);
+  return ctx.measure(zeros);
 }
 
-FaultPoint eval_point(const SweepContext& ctx, nn::Graph& g, std::size_t bi,
-                      std::size_t di, const NocCost& unprot,
-                      const NocCost& prot) {
+FaultPoint eval_point(const SweepContext& ctx, std::size_t bi, std::size_t di,
+                      const NocCost& unprot, const NocCost& prot) {
   const FaultSweepConfig& cfg = *ctx.cfg;
   FaultPoint point;
   point.bit_error_rate = cfg.bit_error_rates[bi];
@@ -124,9 +119,9 @@ FaultPoint eval_point(const SweepContext& ctx, nn::Graph& g, std::size_t bi,
   core::CodecConfig codec = cfg.codec;
   codec.delta_percent = point.delta_percent;
   codec.segment_checksum = true;  // corruption must be detectable
-  const core::CompressedLayer clean = core::compress(ctx.original, codec);
+  const core::CompressedLayer clean = core::compress(ctx.kernel, codec);
   std::vector<float> w_clean = core::decompress(clean);
-  point.accuracy_clean = ctx.measure(g, w_clean);
+  point.accuracy_clean = ctx.measure(w_clean);
   const std::vector<std::uint8_t> clean_bytes = core::serialize(clean);
 
   const std::size_t nd = cfg.delta_percents.size();
@@ -152,11 +147,11 @@ FaultPoint eval_point(const SweepContext& ctx, nn::Graph& g, std::size_t bi,
       core::DecodeDiagnostics diag;
       const core::CompressedLayer decoded =
           core::deserialize_tolerant(bytes, &diag);
-      if (decoded.original_count == ctx.original.size()) {
+      if (decoded.original_count == ctx.kernel.size()) {
         std::vector<float> w(decoded.original_count);
         core::decompress(decoded, w);
         sanitize(w);
-        trial_acc = ctx.measure(g, w);
+        trial_acc = ctx.measure(w);
         trial_frac = diag.segments_total
                          ? static_cast<double>(diag.segments_corrupted +
                                                diag.segments_missing) /
@@ -164,22 +159,22 @@ FaultPoint eval_point(const SweepContext& ctx, nn::Graph& g, std::size_t bi,
                          : 0.0;
       } else {
         // The weight-count header field itself was hit: total loss.
-        trial_acc = measure_all_zero(ctx, g);
+        trial_acc = measure_all_zero(ctx);
       }
     } catch (const core::DecodeError&) {
-      trial_acc = measure_all_zero(ctx, g);  // header corrupted beyond use
+      trial_acc = measure_all_zero(ctx);  // header corrupted beyond use
     }
     acc_c += trial_acc;
     seg_frac += trial_frac;
 
     // --- uncompressed float stream corrupted at the same BER ---
-    std::vector<float> wu = ctx.original;
+    std::vector<float> wu(ctx.kernel.begin(), ctx.kernel.end());
     noc::corrupt_bits(
         std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(wu.data()),
                                 wu.size() * sizeof(float)),
         point.bit_error_rate, task_seed(cfg.fault_seed, base + 1));
     sanitize(wu);
-    acc_u += ctx.measure(g, wu);
+    acc_u += ctx.measure(wu);
 
     // --- CRC + retransmission: every corrupted packet is detected and
     // re-sent, so accuracy is the clean δ accuracy unless the retry budget
@@ -197,7 +192,7 @@ FaultPoint eval_point(const SweepContext& ctx, nn::Graph& g, std::size_t bi,
         s.q = 0.0F;
       }
       std::vector<float> wp = core::decompress(lossy);
-      acc_p += ctx.measure(g, wp);
+      acc_p += ctx.measure(wp);
     }
   }
   const auto n = static_cast<double>(trials);
@@ -210,7 +205,8 @@ FaultPoint eval_point(const SweepContext& ctx, nn::Graph& g, std::size_t bi,
 
 }  // namespace
 
-FaultSweepResult run_fault_sweep(nn::Model& model, const nn::Dataset& test,
+FaultSweepResult run_fault_sweep(const nn::Model& model,
+                                 const nn::Dataset& test,
                                  const FaultSweepConfig& cfg) {
   NOCW_CHECK(!cfg.bit_error_rates.empty());
   NOCW_CHECK(!cfg.delta_percents.empty());
@@ -221,10 +217,10 @@ FaultSweepResult run_fault_sweep(nn::Model& model, const nn::Dataset& test,
 
   SweepContext ctx;
   ctx.cfg = &cfg;
+  ctx.graph = &model.graph;
   ctx.selected = select_layer(model);
+  ctx.kernel = model.graph.layer(ctx.selected).kernel();
   ctx.labels = test.labels;
-  const auto kernel = model.graph.layer(ctx.selected).kernel();
-  ctx.original.assign(kernel.begin(), kernel.end());
   auto [outputs, captured] =
       model.graph.forward_capturing(test.images, ctx.selected);
   ctx.captured = std::move(captured);
@@ -247,30 +243,16 @@ FaultSweepResult run_fault_sweep(nn::Model& model, const nn::Dataset& test,
   const std::size_t n_points = cfg.bit_error_rates.size() * nd;
   result.points.resize(n_points);
 
-  ThreadPool& pool = global_pool();
-  if (pool.size() <= 1 || ThreadPool::in_parallel_region() || n_points <= 1) {
-    for (std::size_t i = 0; i < n_points; ++i) {
-      result.points[i] = eval_point(ctx, model.graph, i / nd, i % nd,
-                                    unprot[i / nd], prot[i / nd]);
-    }
-    return result;
-  }
-  // Each lane replays tails on a private replica; all trial seeds are
-  // functions of the flat point index, so the parallel sweep is
-  // bit-identical to the serial loop above for any NOCW_THREADS.
-  std::vector<std::unique_ptr<nn::Graph>> replicas(pool.size());
-  pool.parallel_for(0, n_points, /*grain=*/1,
-                    [&](std::size_t i0, std::size_t i1, unsigned lane) {
-                      auto& slot = replicas[lane];
-                      if (!slot) {
-                        slot = std::make_unique<nn::Graph>(model.graph.clone());
-                      }
-                      for (std::size_t i = i0; i < i1; ++i) {
-                        result.points[i] =
-                            eval_point(ctx, *slot, i / nd, i % nd,
-                                       unprot[i / nd], prot[i / nd]);
-                      }
-                    });
+  // Every lane reads the one model; all trial seeds are functions of the
+  // flat point index, so the sweep is bit-identical for any NOCW_THREADS.
+  global_pool().parallel_for(
+      0, n_points, /*grain=*/1,
+      [&](std::size_t i0, std::size_t i1, unsigned /*lane*/) {
+        for (std::size_t i = i0; i < i1; ++i) {
+          result.points[i] = eval_point(ctx, i / nd, i % nd, unprot[i / nd],
+                                        prot[i / nd]);
+        }
+      });
   return result;
 }
 

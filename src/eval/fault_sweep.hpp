@@ -86,9 +86,11 @@ struct FaultSweepResult {
 };
 
 /// Run the sweep on `model`'s selected layer against `test`. The model is
-/// read (cloned per thread lane), never left mutated. Results are
-/// bit-identical across runs and thread counts for a fixed cfg.
-FaultSweepResult run_fault_sweep(nn::Model& model, const nn::Dataset& test,
+/// only read: every (BER, δ) point replays the tail with its corrupted
+/// weights as a kernel override, and points run on every pool lane at once.
+/// Results are bit-identical across runs and thread counts for a fixed cfg.
+FaultSweepResult run_fault_sweep(const nn::Model& model,
+                                 const nn::Dataset& test,
                                  const FaultSweepConfig& cfg);
 
 /// Publish a finished sweep into a counter registry (prefix.*): point and

@@ -1,7 +1,5 @@
 #include "eval/flow.hpp"
 
-#include <algorithm>
-#include <memory>
 #include <stdexcept>
 
 #include "eval/layer_selection.hpp"
@@ -12,7 +10,7 @@
 
 namespace nocw::eval {
 
-DeltaEvaluator::DeltaEvaluator(nn::Model& model, const EvalConfig& cfg)
+DeltaEvaluator::DeltaEvaluator(const nn::Model& model, const EvalConfig& cfg)
     : model_(&model), cfg_(cfg) {
   const nn::Tensor probes = make_probes(
       cfg_.probes, model.input_size, model.input_channels, cfg_.probe_seed);
@@ -20,7 +18,7 @@ DeltaEvaluator::DeltaEvaluator(nn::Model& model, const EvalConfig& cfg)
   baseline_accuracy_ = 1.0;  // agreement with itself
 }
 
-DeltaEvaluator::DeltaEvaluator(nn::Model& model, const nn::Dataset& test,
+DeltaEvaluator::DeltaEvaluator(const nn::Model& model, const nn::Dataset& test,
                                const EvalConfig& cfg)
     : model_(&model), cfg_(cfg) {
   labels_ = test.labels;
@@ -32,12 +30,10 @@ DeltaEvaluator::DeltaEvaluator(nn::Model& model, const nn::Dataset& test,
 void DeltaEvaluator::prepare(const nn::Tensor& inputs) {
   selected_node_ = select_layer(*model_);
   selected_name_ = model_->graph.layer(selected_node_).name();
-  const auto kernel = model_->graph.layer(selected_node_).kernel();
   selected_fraction_ =
       static_cast<double>(
           model_->graph.layer(selected_node_).param_count()) /
       static_cast<double>(model_->graph.total_params());
-  original_weights_.assign(kernel.begin(), kernel.end());
 
   auto [outputs, captured] =
       model_->graph.forward_capturing(inputs, selected_node_);
@@ -47,30 +43,17 @@ void DeltaEvaluator::prepare(const nn::Tensor& inputs) {
 
 DeltaPoint DeltaEvaluator::evaluate(double delta_percent) {
   ++evaluations_;
-  return evaluate_on(model_->graph, delta_percent);
+  return evaluate_point(delta_percent);
 }
 
 std::vector<DeltaPoint> DeltaEvaluator::evaluate_many(
     const std::vector<double>& delta_percents) {
   std::vector<DeltaPoint> points(delta_percents.size());
-  ThreadPool& pool = global_pool();
-  if (pool.size() <= 1 || ThreadPool::in_parallel_region() ||
-      delta_percents.size() <= 1) {
-    for (std::size_t i = 0; i < delta_percents.size(); ++i) {
-      points[i] = evaluate(delta_percents[i]);
-    }
-    return points;
-  }
-  // Each lane replays the tail on its own replica; the caller's model is
-  // only read (by clone()), never mutated, while the sweep runs.
-  std::vector<std::unique_ptr<nn::Graph>> replicas(pool.size());
-  pool.parallel_for(
+  global_pool().parallel_for(
       0, delta_percents.size(), /*grain=*/1,
-      [&](std::size_t i0, std::size_t i1, unsigned lane) {
-        auto& slot = replicas[lane];
-        if (!slot) slot = std::make_unique<nn::Graph>(model_->graph.clone());
+      [&](std::size_t i0, std::size_t i1, unsigned /*lane*/) {
         for (std::size_t i = i0; i < i1; ++i) {
-          points[i] = evaluate_on(*slot, delta_percents[i]);
+          points[i] = evaluate_point(delta_percents[i]);
         }
       });
   evaluations_ += delta_percents.size();
@@ -102,17 +85,16 @@ void DeltaEvaluator::annotate_manifest(obs::RunManifest& m) const {
   m.metrics["eval.evaluations"] = static_cast<double>(evaluations_);
 }
 
-DeltaPoint DeltaEvaluator::evaluate_on(nn::Graph& graph,
-                                       double delta_percent) const {
+DeltaPoint DeltaEvaluator::evaluate_point(double delta_percent) const {
   DeltaPoint point;
   point.delta_percent = delta_percent;
 
   core::CodecConfig codec = cfg_.codec;
   codec.delta_percent = delta_percent;
 
-  // Compress the original weights (never re-compress an approximation).
-  const core::CompressedLayer compressed =
-      core::compress(original_weights_, codec);
+  const nn::Graph& graph = model_->graph;
+  const auto kernel = graph.layer(selected_node_).kernel();
+  const core::CompressedLayer compressed = core::compress(kernel, codec);
   point.report.delta_percent = delta_percent;
   point.report.cr = compressed.compression_ratio();
   point.report.weighted_cr =
@@ -125,12 +107,10 @@ DeltaPoint DeltaEvaluator::evaluate_on(nn::Graph& graph,
   point.compression.compressed_bits = compressed.compressed_bits();
   point.compression.weight_count = compressed.original_count;
 
-  // Install the approximated weights, replay the tail, restore.
-  auto kernel = graph.layer(selected_node_).kernel();
-  core::decompress(compressed, kernel);
-  const nn::Tensor outputs = graph.forward_tail(captured_, selected_node_);
-  std::copy(original_weights_.begin(), original_weights_.end(),
-            kernel.begin());
+  std::vector<float> approx(kernel.size());
+  core::decompress(compressed, approx);
+  const nn::Tensor outputs =
+      graph.forward_tail(captured_, selected_node_, {selected_node_, approx});
 
   if (labels_.empty()) {
     point.accuracy =

@@ -1,12 +1,14 @@
 // The paper's evaluation flow (Fig. 8), as a reusable library.
 //
-// A DeltaEvaluator owns one model, the selected layer (Layer Selection
+// A DeltaEvaluator reads one model, the selected layer (Layer Selection
 // block), a probe set, and the cached activations feeding the selected
 // layer. Because compression perturbs exactly one layer, the expensive
 // network prefix runs once; each δ then costs one compression pass over the
-// layer's weights plus a cheap tail replay. Accuracy is top-1 against labels
-// when a labeled dataset is supplied (LeNet-5), otherwise top-5 agreement
-// with the original model's outputs (DESIGN.md §4).
+// layer's weights plus a cheap tail replay that reads the approximated
+// kernel as an override. The model is never written, so every δ point of a
+// sweep replays on the same const model (DESIGN.md §18). Accuracy is top-1
+// against labels when a labeled dataset is supplied (LeNet-5), otherwise
+// top-5 agreement with the original model's outputs (DESIGN.md §4).
 #pragma once
 
 #include <cstdint>
@@ -41,11 +43,11 @@ struct DeltaPoint {
 class DeltaEvaluator {
  public:
   /// Agreement mode: probes are generated; baseline = original outputs.
-  DeltaEvaluator(nn::Model& model, const EvalConfig& cfg);
+  DeltaEvaluator(const nn::Model& model, const EvalConfig& cfg);
 
   /// Labeled mode: accuracy is measured against `test` labels (the model
   /// should have been trained first).
-  DeltaEvaluator(nn::Model& model, const nn::Dataset& test,
+  DeltaEvaluator(const nn::Model& model, const nn::Dataset& test,
                  const EvalConfig& cfg);
 
   /// Accuracy of the unmodified model (top-k agreement mode reports 1.0 by
@@ -55,13 +57,14 @@ class DeltaEvaluator {
     return baseline_accuracy_;
   }
 
-  /// Compress the selected layer at δ, replay the tail, restore weights.
+  /// Compress the selected layer at δ and replay the tail with the
+  /// approximated kernel; the model is only read.
   [[nodiscard]] DeltaPoint evaluate(double delta_percent);
 
   /// Evaluate a whole δ sweep. Points are independent, so they run
-  /// concurrently on the global thread pool (each lane replays the tail on
-  /// a private replica of the model); results are bit-identical to calling
-  /// evaluate() serially, in sweep order, for any NOCW_THREADS.
+  /// concurrently on the global thread pool, every lane reading the one
+  /// model; results are bit-identical to calling evaluate() serially, in
+  /// sweep order, for any NOCW_THREADS.
   [[nodiscard]] std::vector<DeltaPoint> evaluate_many(
       const std::vector<double>& delta_percents);
 
@@ -92,10 +95,9 @@ class DeltaEvaluator {
 
  private:
   void prepare(const nn::Tensor& inputs);
-  [[nodiscard]] DeltaPoint evaluate_on(nn::Graph& graph,
-                                       double delta_percent) const;
+  [[nodiscard]] DeltaPoint evaluate_point(double delta_percent) const;
 
-  nn::Model* model_;
+  const nn::Model* model_;
   EvalConfig cfg_;
   int selected_node_ = -1;
   std::string selected_name_;
@@ -104,7 +106,6 @@ class DeltaEvaluator {
   nn::Tensor baseline_outputs_;  ///< original model outputs on the probes
   std::vector<int> labels_;      ///< labeled mode only
   double baseline_accuracy_ = 1.0;
-  std::vector<float> original_weights_;
   std::uint64_t evaluations_ = 0;
 };
 

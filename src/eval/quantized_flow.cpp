@@ -57,7 +57,6 @@ void QuantizedDeltaEvaluator::prepare(const nn::Tensor& inputs) {
     if (idx == selected_node_) {
       selected_qt_ = qt;
       selected_qt_bits_ = bits;
-      original_weights_.assign(deq.begin(), deq.end());
     }
   }
   qt_bits += non_kernel_params * 32;  // biases, BN params stay float32
@@ -97,16 +96,13 @@ QuantizedDeltaPoint QuantizedDeltaEvaluator::evaluate(double delta_percent) {
   point.weighted_cr = static_cast<double>(model_fp32_bits_) /
                       static_cast<double>(stacked_bits);
 
-  // Reconstruct codes -> dequantize -> install -> tail replay -> restore.
+  // Reconstruct codes -> dequantize -> tail replay with them as the
+  // selected layer's kernel (the installed int8 view stays untouched).
   const quant::QuantizedTensor rec =
       quant::decompress_quantized(compressed, selected_qt_.params);
   const std::vector<float> deq = rec.dequantize();
-  auto kernel = model_->graph.layer(selected_node_).kernel();
-  std::copy(deq.begin(), deq.end(), kernel.begin());
-  const nn::Tensor outputs =
-      model_->graph.forward_tail(captured_, selected_node_);
-  std::copy(original_weights_.begin(), original_weights_.end(),
-            kernel.begin());
+  const nn::Tensor outputs = model_->graph.forward_tail(
+      captured_, selected_node_, {selected_node_, deq});
 
   point.accuracy =
       labels_.empty()

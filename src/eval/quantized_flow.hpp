@@ -74,7 +74,6 @@ class QuantizedDeltaEvaluator {
   nn::Tensor fp32_outputs_;             ///< float32 model outputs on probes
   std::vector<int> labels_;
   QuantizedBaseline baseline_;
-  std::vector<float> original_weights_;  ///< fp32 weights of selected layer
   std::uint64_t model_fp32_bits_ = 0;
   std::uint64_t model_qt_bits_ = 0;      ///< whole model after quantization
   std::uint64_t selected_qt_bits_ = 0;   ///< selected layer's share of qt bits

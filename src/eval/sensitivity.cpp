@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include "eval/probes.hpp"
@@ -17,14 +16,14 @@ namespace {
 
 struct LayerJob {
   int node = -1;
-  std::vector<float> original;
   double amp = 0.0;
 };
 
 }  // namespace
 
 std::vector<LayerSensitivity> sensitivity_analysis(
-    nn::Model& model, const nn::Dataset* test, const SensitivityConfig& cfg) {
+    const nn::Model& model, const nn::Dataset* test,
+    const SensitivityConfig& cfg) {
   const nn::Tensor inputs =
       test ? test->images
            : make_probes(cfg.probes, model.input_size, model.input_channels,
@@ -50,7 +49,6 @@ std::vector<LayerSensitivity> sensitivity_analysis(
     const auto kernel = model.graph.layer(idx).kernel();
     LayerJob job;
     job.node = idx;
-    job.original.assign(kernel.begin(), kernel.end());
     const double range = value_range(kernel);
     job.amp = cfg.noise_fraction * (range > 0 ? range : 1.0);
     if (cfg.equalize_energy && !kernel.empty()) {
@@ -68,36 +66,25 @@ std::vector<LayerSensitivity> sensitivity_analysis(
   const std::size_t tasks = jobs.size() * trials;
   std::vector<double> task_acc(tasks, 0.0);
 
-  ThreadPool& pool = global_pool();
-  // Weight mutation is not thread-safe on a shared graph: with one lane the
-  // model's own graph is perturbed and restored in place (the historical
-  // serial path, zero copies); with several lanes each lane lazily clones a
-  // private replica and the caller's model is never touched concurrently.
-  std::vector<std::unique_ptr<nn::Graph>> replicas(pool.size());
-  auto graph_for_lane = [&](unsigned lane) -> nn::Graph& {
-    if (pool.size() <= 1) return model.graph;
-    auto& slot = replicas[lane];
-    if (!slot) slot = std::make_unique<nn::Graph>(model.graph.clone());
-    return *slot;
-  };
-
-  pool.parallel_for(
+  // Every lane reads the one model: a task perturbs a copy of the layer's
+  // kernel and replays with it as an override.
+  global_pool().parallel_for(
       0, tasks, /*grain=*/1,
-      [&](std::size_t t0, std::size_t t1, unsigned lane) {
-        nn::Graph& graph = graph_for_lane(lane);
+      [&](std::size_t t0, std::size_t t1, unsigned /*lane*/) {
         for (std::size_t t = t0; t < t1; ++t) {
           const LayerJob& job = jobs[t / trials];
-          auto kernel = graph.layer(job.node).kernel();
+          const auto original = model.graph.layer(job.node).kernel();
+          std::vector<float> noisy(original.size());
           Xoshiro256pp rng(task_seed(cfg.seed ^ 0xABCDEFULL, t));
-          for (std::size_t i = 0; i < kernel.size(); ++i) {
-            kernel[i] = job.original[i] +
-                        static_cast<float>(rng.uniform(-job.amp, job.amp));
+          for (std::size_t i = 0; i < noisy.size(); ++i) {
+            noisy[i] = original[i] +
+                       static_cast<float>(rng.uniform(-job.amp, job.amp));
           }
-          const nn::Tensor outputs = graph.forward(inputs);
+          const nn::Tensor outputs =
+              model.graph.forward(inputs, {job.node, noisy});
           task_acc[t] =
               test ? nn::topk_accuracy(outputs, test->labels, cfg.topk)
                    : nn::mean_topk_agreement(baseline, outputs, cfg.topk);
-          std::copy(job.original.begin(), job.original.end(), kernel.begin());
         }
       });
 

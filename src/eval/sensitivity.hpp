@@ -38,8 +38,11 @@ struct LayerSensitivity {
 
 /// Perturb each parameterized layer in turn and measure the accuracy drop.
 /// With `test` non-null accuracy is top-k against labels (trained LeNet-5);
-/// otherwise it is top-k agreement with the unperturbed model.
+/// otherwise it is top-k agreement with the unperturbed model. The model is
+/// only read: each (layer, trial) task replays with a perturbed copy of the
+/// layer's kernel as an override, and tasks run on every pool lane at once.
 std::vector<LayerSensitivity> sensitivity_analysis(
-    nn::Model& model, const nn::Dataset* test, const SensitivityConfig& cfg);
+    const nn::Model& model, const nn::Dataset* test,
+    const SensitivityConfig& cfg);
 
 }  // namespace nocw::eval

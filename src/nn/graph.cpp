@@ -34,15 +34,6 @@ int Graph::find(const std::string& name) const noexcept {
   return -1;
 }
 
-Graph Graph::clone() const {
-  Graph g;
-  g.nodes_.reserve(nodes_.size());
-  for (const Node& n : nodes_) {
-    g.nodes_.push_back(Node{n.layer->clone(), n.inputs});
-  }
-  return g;
-}
-
 namespace {
 
 /// Index of the last node consuming each node's output (-1 = never used).
@@ -56,16 +47,18 @@ std::vector<int> last_use(const std::vector<Graph::Node>& nodes) {
 
 }  // namespace
 
-Tensor Graph::forward(const Tensor& input) const {
+Tensor Graph::forward(const Tensor& input, KernelOverride kernel) const {
+  if (nodes_.empty()) throw std::logic_error("empty graph");
   const int batch = input.rank() > 0 ? input.dim(0) : 0;
   if (batch >= 2 && global_pool().size() > 1 &&
       !ThreadPool::in_parallel_region()) {
-    return forward_batched(input);
+    return forward_batched(input, kernel);
   }
-  return forward_serial(input);
+  return walk(input, 0, kernel);
 }
 
-Tensor Graph::forward_batched(const Tensor& input) const {
+Tensor Graph::forward_batched(const Tensor& input,
+                              KernelOverride kernel) const {
   ThreadPool& pool = global_pool();
   const std::size_t batch = static_cast<std::size_t>(input.dim(0));
   const std::size_t in_stride = input.size() / batch;
@@ -80,7 +73,7 @@ Tensor Graph::forward_batched(const Tensor& input) const {
         Tensor sub(std::move(sub_shape));
         std::memcpy(sub.raw(), input.raw() + b0 * in_stride,
                     (b1 - b0) * in_stride * sizeof(float));
-        parts[b0 / grain] = forward_serial(sub);
+        parts[b0 / grain] = walk(sub, 0, kernel);
       });
   std::vector<int> out_shape = parts.front().shape();
   const std::size_t out_stride =
@@ -97,28 +90,6 @@ Tensor Graph::forward_batched(const Tensor& input) const {
   return out;
 }
 
-Tensor Graph::forward_serial(const Tensor& input) const {
-  if (nodes_.empty()) throw std::logic_error("empty graph");
-  const std::vector<int> last = last_use(nodes_);
-  std::vector<Tensor> outputs(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i];
-    std::vector<const Tensor*> ins;
-    if (n.inputs.empty()) {
-      ins.push_back(&input);
-    } else {
-      for (int in : n.inputs) ins.push_back(&outputs[in]);
-    }
-    outputs[i] = n.layer->forward(ins);
-    // Release producers that no later node consumes (activation footprint of
-    // a full VGG pass drops from ~100 MB to the live window).
-    for (int in : n.inputs) {
-      if (last[in] == static_cast<int>(i)) outputs[in] = Tensor{};
-    }
-  }
-  return std::move(outputs.back());
-}
-
 std::pair<Tensor, Tensor> Graph::forward_capturing(const Tensor& input,
                                                    int capture) const {
   if (capture < 0 || capture >= static_cast<int>(nodes_.size())) {
@@ -127,43 +98,45 @@ std::pair<Tensor, Tensor> Graph::forward_capturing(const Tensor& input,
   if (nodes_[capture].inputs.size() != 1) {
     throw std::invalid_argument("capture node must have a single producer");
   }
-  const int producer = nodes_[capture].inputs[0];
-  const std::vector<int> last = last_use(nodes_);
-  std::vector<Tensor> outputs(nodes_.size());
   Tensor captured;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i];
-    std::vector<const Tensor*> ins;
-    if (n.inputs.empty()) {
-      ins.push_back(&input);
-    } else {
-      for (int in : n.inputs) ins.push_back(&outputs[in]);
-    }
-    outputs[i] = n.layer->forward(ins);
-    if (static_cast<int>(i) == producer) captured = outputs[i];
-    for (int in : n.inputs) {
-      if (last[in] == static_cast<int>(i)) outputs[in] = Tensor{};
-    }
-  }
-  return {std::move(outputs.back()), std::move(captured)};
+  Tensor out = walk(input, 0, {}, nodes_[capture].inputs[0], &captured);
+  return {std::move(out), std::move(captured)};
 }
 
-Tensor Graph::forward_tail(const Tensor& captured_input, int from) const {
+Tensor Graph::forward_tail(const Tensor& captured_input, int from,
+                           KernelOverride kernel) const {
   if (from <= 0 || from >= static_cast<int>(nodes_.size())) {
     throw std::out_of_range("tail start out of range");
   }
   if (nodes_[from].inputs.size() != 1) {
     throw std::invalid_argument("tail start must have a single producer");
   }
-  const int producer = nodes_[from].inputs[0];
+  return walk(captured_input, from, kernel);
+}
+
+Tensor Graph::walk(const Tensor& input, int from, KernelOverride kernel,
+                   int keep, Tensor* kept) const {
+  const int end = static_cast<int>(nodes_.size());
+  if (kernel.node != -1) {
+    if (kernel.node < from || kernel.node >= end) {
+      throw std::invalid_argument("kernel override targets a node not run");
+    }
+    const std::size_t own = nodes_[kernel.node].layer->kernel().size();
+    if (own == 0 || own != kernel.kernel.size()) {
+      throw std::invalid_argument(
+          "kernel override must match the size of the node's kernel");
+    }
+  }
+  const int source = from == 0 ? -1 : nodes_[from].inputs[0];
+  const std::vector<int> last = last_use(nodes_);
   std::vector<Tensor> outputs(nodes_.size());
-  for (std::size_t i = static_cast<std::size_t>(from); i < nodes_.size();
-       ++i) {
+  for (int i = from; i < end; ++i) {
     const Node& n = nodes_[i];
     std::vector<const Tensor*> ins;
+    if (n.inputs.empty()) ins.push_back(&input);
     for (int in : n.inputs) {
-      if (in == producer) {
-        ins.push_back(&captured_input);
+      if (in == source) {
+        ins.push_back(&input);
       } else if (in >= from) {
         ins.push_back(&outputs[in]);
       } else {
@@ -171,7 +144,14 @@ Tensor Graph::forward_tail(const Tensor& captured_input, int from) const {
             "forward_tail: node depends on an uncaptured prefix output");
       }
     }
-    outputs[i] = n.layer->forward(ins);
+    outputs[i] = i == kernel.node ? n.layer->forward(ins, kernel.kernel)
+                                  : n.layer->forward(ins);
+    if (i == keep) *kept = outputs[i];
+    // Release producers that no later node consumes (activation footprint of
+    // a full VGG pass drops from ~100 MB to the live window).
+    for (int in : n.inputs) {
+      if (last[in] == i) outputs[in] = Tensor{};
+    }
   }
   return std::move(outputs.back());
 }

@@ -5,18 +5,29 @@
 // graph supports the penultimate-activation caching trick used by the
 // evaluation flow: because compression perturbs exactly one layer, the
 // expensive prefix up to that layer is computed once per probe input and
-// only the tail is replayed per δ (see forward_tail / capture_input_of).
+// only the tail is replayed per δ (see forward_capturing / forward_tail).
+// A pass may read one node's kernel from a caller's buffer (KernelOverride)
+// instead of the graph, so sweeps never write to the model and any number
+// of threads can replay different approximations on one const Graph.
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "nn/layers.hpp"
 
 namespace nocw::nn {
+
+/// Weights that node `node` reads in place of its own kernel for one pass;
+/// node -1 means no override. The node must be one the pass runs and have
+/// a kernel, and the span must have that kernel's size, or the pass throws
+/// std::invalid_argument.
+struct KernelOverride {
+  int node = -1;
+  std::span<const float> kernel;
+};
 
 class Graph {
  public:
@@ -42,17 +53,13 @@ class Graph {
   /// Index of the node whose layer has this name; -1 if absent.
   [[nodiscard]] int find(const std::string& name) const noexcept;
 
-  /// Deep copy: every layer's inference state is cloned, edges preserved.
-  /// Parallel evaluation sweeps give each thread its own replica so weight
-  /// mutation (noise injection, δ-compression) needs no locking.
-  [[nodiscard]] Graph clone() const;
-
   /// Full forward pass; returns the last node's output. When the global
   /// thread pool has more than one lane and the batch has 2+ samples, the
   /// batch is split into contiguous sub-batches executed concurrently;
   /// samples are independent, so outputs are bit-identical to the serial
   /// sweep for any NOCW_THREADS.
-  [[nodiscard]] Tensor forward(const Tensor& input) const;
+  [[nodiscard]] Tensor forward(const Tensor& input,
+                               KernelOverride kernel = {}) const;
 
   /// Forward pass that also returns the (single) input tensor feeding node
   /// `capture`: the cached activation for the δ-sweep replay. Requires node
@@ -64,8 +71,8 @@ class Graph {
   /// Every replayed node may consume only the captured tensor or outputs of
   /// other replayed nodes (true for the tail-of-network layers the selection
   /// policy picks); violations throw.
-  [[nodiscard]] Tensor forward_tail(const Tensor& captured_input,
-                                    int from) const;
+  [[nodiscard]] Tensor forward_tail(const Tensor& captured_input, int from,
+                                    KernelOverride kernel = {}) const;
 
   /// Sum of param_count() over all layers.
   [[nodiscard]] std::size_t total_params() const noexcept;
@@ -74,8 +81,15 @@ class Graph {
   [[nodiscard]] std::vector<int> parameterized_nodes() const;
 
  private:
-  [[nodiscard]] Tensor forward_serial(const Tensor& input) const;
-  [[nodiscard]] Tensor forward_batched(const Tensor& input) const;
+  /// The one pass behind every forward: runs nodes [from, end). With
+  /// from == 0 `input` feeds the input node; otherwise it stands in for the
+  /// output of node `from`'s single producer. When `keep` is a node index,
+  /// a copy of that node's output lands in `*kept`.
+  [[nodiscard]] Tensor walk(const Tensor& input, int from,
+                            KernelOverride kernel, int keep = -1,
+                            Tensor* kept = nullptr) const;
+  [[nodiscard]] Tensor forward_batched(const Tensor& input,
+                                       KernelOverride kernel) const;
 
   std::vector<Node> nodes_;
 };

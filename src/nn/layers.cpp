@@ -68,6 +68,11 @@ std::size_t row_grain(int rows) {
 
 }  // namespace
 
+Tensor Layer::forward(std::span<const Tensor* const> /*inputs*/,
+                     std::span<const float> /*kernel*/) const {
+  throw std::invalid_argument("layer " + name_ + " has no kernel to override");
+}
+
 // --- InputLayer ------------------------------------------------------------
 
 Tensor InputLayer::forward(std::span<const Tensor* const> inputs) const {
@@ -95,7 +100,8 @@ Conv2D::Conv2D(std::string name, int in_channels, int out_channels,
               out_channels),
       bias_(use_bias ? static_cast<std::size_t>(out_channels) : 0) {}
 
-Tensor Conv2D::forward(std::span<const Tensor* const> inputs) const {
+Tensor Conv2D::forward(std::span<const Tensor* const> inputs,
+                       std::span<const float> kernel) const {
   const Tensor& in = single_input(inputs);
   require_rank(in, 4, "Conv2D");
   const int n = in.dim(0), h = in.dim(1), w = in.dim(2), c = in.dim(3);
@@ -163,7 +169,7 @@ Tensor Conv2D::forward(std::span<const Tensor* const> inputs) const {
           });
     }
     float* dst = &out.at(img, 0, 0, 0);
-    gemm(lhs, kernel_.data(), dst,
+    gemm(lhs, kernel.data(), dst,
          static_cast<std::size_t>(oh) * ow, k,
          static_cast<std::size_t>(cout_));
     if (!bias_.empty()) {
@@ -254,7 +260,8 @@ DepthwiseConv2D::DepthwiseConv2D(std::string name, int channels, int kernel_h,
       kernel_(static_cast<std::size_t>(kernel_h) * kernel_w * channels),
       bias_(use_bias ? static_cast<std::size_t>(channels) : 0) {}
 
-Tensor DepthwiseConv2D::forward(std::span<const Tensor* const> inputs) const {
+Tensor DepthwiseConv2D::forward(std::span<const Tensor* const> inputs,
+                                std::span<const float> kernel) const {
   const Tensor& in = single_input(inputs);
   require_rank(in, 4, "DepthwiseConv2D");
   const int n = in.dim(0), h = in.dim(1), w = in.dim(2), c = in.dim(3);
@@ -292,7 +299,7 @@ Tensor DepthwiseConv2D::forward(std::span<const Tensor* const> inputs) const {
                   if (ix < 0 || ix >= w) continue;
                   const float* iv = &in.at(img, iy, ix, 0);
                   const float* kv =
-                      kernel_.data() +
+                      kernel.data() +
                       (static_cast<std::size_t>(ky) * kw_ + kx) * channels_;
                   for (int ci = 0; ci < channels_; ++ci) {
                     o[ci] += iv[ci] * kv[ci];
@@ -313,13 +320,14 @@ Dense::Dense(std::string name, int in_features, int out_features)
       kernel_(static_cast<std::size_t>(in_features) * out_features),
       bias_(static_cast<std::size_t>(out_features)) {}
 
-Tensor Dense::forward(std::span<const Tensor* const> inputs) const {
+Tensor Dense::forward(std::span<const Tensor* const> inputs,
+                      std::span<const float> kernel) const {
   const Tensor& in = single_input(inputs);
   require_rank(in, 2, "Dense");
   if (in.dim(1) != in_) throw std::invalid_argument("Dense feature mismatch");
   const int n = in.dim(0);
   Tensor out({n, out_});
-  gemm(in.raw(), kernel_.data(), out.raw(), static_cast<std::size_t>(n),
+  gemm(in.raw(), kernel.data(), out.raw(), static_cast<std::size_t>(n),
        static_cast<std::size_t>(in_), static_cast<std::size_t>(out_));
   for (int i = 0; i < n; ++i) {
     float* row = out.raw() + static_cast<std::size_t>(i) * out_;
@@ -587,7 +595,8 @@ BatchNorm::BatchNorm(std::string name, int channels, float epsilon)
       mean_(static_cast<std::size_t>(channels), 0.0F),
       var_(static_cast<std::size_t>(channels), 1.0F) {}
 
-Tensor BatchNorm::forward(std::span<const Tensor* const> inputs) const {
+Tensor BatchNorm::forward(std::span<const Tensor* const> inputs,
+                         std::span<const float> kernel) const {
   Tensor out = single_input(inputs);
   const int c = out.shape().back();
   if (static_cast<std::size_t>(c) != gamma_.size()) {
@@ -597,7 +606,7 @@ Tensor BatchNorm::forward(std::span<const Tensor* const> inputs) const {
   std::vector<float> scale(gamma_.size());
   std::vector<float> shift(gamma_.size());
   for (std::size_t i = 0; i < gamma_.size(); ++i) {
-    scale[i] = gamma_[i] / std::sqrt(var_[i] + eps_);
+    scale[i] = kernel[i] / std::sqrt(var_[i] + eps_);
     shift[i] = beta_[i] - mean_[i] * scale[i];
   }
   // NHWC: channels are innermost, so walk positions x channels.
@@ -657,88 +666,6 @@ Tensor Concat::forward(std::span<const Tensor* const> inputs) const {
     }
   }
   return out;
-}
-
-// --- clone() -----------------------------------------------------------------
-// Inference state only: weights, bias, statistics. Gradient buffers start
-// empty in the clone (replicas are forward-only).
-
-std::unique_ptr<Layer> InputLayer::clone() const {
-  return std::make_unique<InputLayer>(name(), shape_);
-}
-
-std::unique_ptr<Layer> Conv2D::clone() const {
-  auto c = std::make_unique<Conv2D>(name(), cin_, cout_, kh_, kw_, stride_,
-                                    padding_, !bias_.empty());
-  c->kernel_ = kernel_;
-  c->bias_ = bias_;
-  return c;
-}
-
-std::unique_ptr<Layer> DepthwiseConv2D::clone() const {
-  auto c = std::make_unique<DepthwiseConv2D>(name(), channels_, kh_, kw_,
-                                             stride_, padding_,
-                                             !bias_.empty());
-  c->kernel_ = kernel_;
-  c->bias_ = bias_;
-  return c;
-}
-
-std::unique_ptr<Layer> Dense::clone() const {
-  auto c = std::make_unique<Dense>(name(), in_, out_);
-  c->kernel_ = kernel_;
-  c->bias_ = bias_;
-  return c;
-}
-
-std::unique_ptr<Layer> MaxPool::clone() const {
-  return std::make_unique<MaxPool>(name(), pool_, stride_, padding_);
-}
-
-std::unique_ptr<Layer> AvgPool::clone() const {
-  return std::make_unique<AvgPool>(name(), pool_, stride_, padding_);
-}
-
-std::unique_ptr<Layer> GlobalAvgPool::clone() const {
-  return std::make_unique<GlobalAvgPool>(name());
-}
-
-std::unique_ptr<Layer> ReLU::clone() const {
-  return std::make_unique<ReLU>(name());
-}
-
-std::unique_ptr<Layer> ReLU6::clone() const {
-  return std::make_unique<ReLU6>(name());
-}
-
-std::unique_ptr<Layer> Softmax::clone() const {
-  return std::make_unique<Softmax>(name());
-}
-
-std::unique_ptr<Layer> Reshape::clone() const {
-  return std::make_unique<Reshape>(name(), per_sample_);
-}
-
-std::unique_ptr<Layer> Flatten::clone() const {
-  return std::make_unique<Flatten>(name());
-}
-
-std::unique_ptr<Layer> BatchNorm::clone() const {
-  auto c = std::make_unique<BatchNorm>(
-      name(), static_cast<int>(gamma_.size()), eps_);
-  c->gamma_ = gamma_;
-  c->beta_ = beta_;
-  c->mean_ = mean_;
-  c->var_ = var_;
-  return c;
-}
-
-std::unique_ptr<Layer> Add::clone() const {
-  return std::make_unique<Add>(name());
-}
-
-std::unique_ptr<Layer> Concat::clone() const {
-  return std::make_unique<Concat>(name());
 }
 
 }  // namespace nocw::nn

@@ -8,6 +8,8 @@
 // architecture and the paper's Table I fractions can be reproduced.
 //
 // forward() is inference-grade (im2col + GEMM for conv, GEMM for dense).
+// Layers with a kernel also run with a caller's kernel in its place, so a
+// sweep replays an approximated layer without writing to a shared model.
 // backward() is implemented for the subset of layers LeNet-5 needs so the
 // in-repo SGD trainer can produce genuinely trained weights; the other
 // layers throw if asked to train.
@@ -59,11 +61,12 @@ class Layer {
   [[nodiscard]] virtual Tensor forward(
       std::span<const Tensor* const> inputs) const = 0;
 
-  /// Deep copy of the layer's inference state (weights, bias, statistics;
-  /// training gradients are not carried over). Parallel evaluation sweeps
-  /// clone whole graphs to give every thread an independently mutable
-  /// weight set — see Graph::clone().
-  [[nodiscard]] virtual std::unique_ptr<Layer> clone() const = 0;
+  /// Run the layer with `kernel` read in place of its own kernel (same
+  /// size, same layout). This is how a sweep replays an approximated or
+  /// perturbed layer without writing to a shared model; Graph checks the
+  /// size. Layers without a kernel throw std::invalid_argument.
+  [[nodiscard]] virtual Tensor forward(std::span<const Tensor* const> inputs,
+                                       std::span<const float> kernel) const;
 
   /// The compressible weight succession (empty for parameterless layers).
   [[nodiscard]] virtual std::span<float> kernel() { return {}; }
@@ -101,7 +104,6 @@ class InputLayer final : public Layer {
   }
   [[nodiscard]] Tensor forward(
       std::span<const Tensor* const> inputs) const override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] const std::vector<int>& input_shape() const noexcept {
     return shape_;
   }
@@ -121,8 +123,11 @@ class Conv2D final : public Layer {
     return LayerType::Conv2D;
   }
   [[nodiscard]] Tensor forward(
-      std::span<const Tensor* const> inputs) const override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
+      std::span<const Tensor* const> inputs) const override {
+    return forward(inputs, kernel_);
+  }
+  [[nodiscard]] Tensor forward(std::span<const Tensor* const> inputs,
+                               std::span<const float> kernel) const override;
   [[nodiscard]] std::span<float> kernel() override { return kernel_; }
   [[nodiscard]] std::span<const float> kernel() const override {
     return kernel_;
@@ -163,8 +168,11 @@ class DepthwiseConv2D final : public Layer {
     return LayerType::DepthwiseConv2D;
   }
   [[nodiscard]] Tensor forward(
-      std::span<const Tensor* const> inputs) const override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
+      std::span<const Tensor* const> inputs) const override {
+    return forward(inputs, kernel_);
+  }
+  [[nodiscard]] Tensor forward(std::span<const Tensor* const> inputs,
+                               std::span<const float> kernel) const override;
   [[nodiscard]] std::span<float> kernel() override { return kernel_; }
   [[nodiscard]] std::span<const float> kernel() const override {
     return kernel_;
@@ -195,8 +203,11 @@ class Dense final : public Layer {
     return LayerType::Dense;
   }
   [[nodiscard]] Tensor forward(
-      std::span<const Tensor* const> inputs) const override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
+      std::span<const Tensor* const> inputs) const override {
+    return forward(inputs, kernel_);
+  }
+  [[nodiscard]] Tensor forward(std::span<const Tensor* const> inputs,
+                               std::span<const float> kernel) const override;
   [[nodiscard]] std::span<float> kernel() override { return kernel_; }
   [[nodiscard]] std::span<const float> kernel() const override {
     return kernel_;
@@ -233,7 +244,6 @@ class MaxPool final : public Layer {
   }
   [[nodiscard]] Tensor forward(
       std::span<const Tensor* const> inputs) const override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   /// Training path supports Valid padding (the LeNet-5 configuration).
   [[nodiscard]] std::vector<Tensor> backward(
       std::span<const Tensor* const> inputs, const Tensor& grad_out) override;
@@ -256,7 +266,6 @@ class AvgPool final : public Layer {
   }
   [[nodiscard]] Tensor forward(
       std::span<const Tensor* const> inputs) const override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] int pool() const noexcept { return pool_; }
   [[nodiscard]] int stride() const noexcept { return stride_; }
   [[nodiscard]] Padding padding() const noexcept { return padding_; }
@@ -274,7 +283,6 @@ class GlobalAvgPool final : public Layer {
   }
   [[nodiscard]] Tensor forward(
       std::span<const Tensor* const> inputs) const override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
 };
 
 class ReLU final : public Layer {
@@ -285,7 +293,6 @@ class ReLU final : public Layer {
   }
   [[nodiscard]] Tensor forward(
       std::span<const Tensor* const> inputs) const override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::vector<Tensor> backward(
       std::span<const Tensor* const> inputs, const Tensor& grad_out) override;
 };
@@ -298,7 +305,6 @@ class ReLU6 final : public Layer {
   }
   [[nodiscard]] Tensor forward(
       std::span<const Tensor* const> inputs) const override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
 };
 
 class Softmax final : public Layer {
@@ -309,7 +315,6 @@ class Softmax final : public Layer {
   }
   [[nodiscard]] Tensor forward(
       std::span<const Tensor* const> inputs) const override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
 };
 
 /// Reshape to a fixed per-sample shape (batch dim preserved). Used e.g. by
@@ -325,7 +330,6 @@ class Reshape final : public Layer {
   }
   [[nodiscard]] Tensor forward(
       std::span<const Tensor* const> inputs) const override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] const std::vector<int>& per_sample_shape() const noexcept {
     return per_sample_;
   }
@@ -342,7 +346,6 @@ class Flatten final : public Layer {
   }
   [[nodiscard]] Tensor forward(
       std::span<const Tensor* const> inputs) const override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::vector<Tensor> backward(
       std::span<const Tensor* const> inputs, const Tensor& grad_out) override;
 };
@@ -358,8 +361,11 @@ class BatchNorm final : public Layer {
     return LayerType::BatchNorm;
   }
   [[nodiscard]] Tensor forward(
-      std::span<const Tensor* const> inputs) const override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
+      std::span<const Tensor* const> inputs) const override {
+    return forward(inputs, gamma_);
+  }
+  [[nodiscard]] Tensor forward(std::span<const Tensor* const> inputs,
+                               std::span<const float> kernel) const override;
   /// BatchNorm's "kernel" for compression purposes is gamma (rarely chosen
   /// by the layer-selection policy, but exposed for completeness).
   [[nodiscard]] std::span<float> kernel() override { return gamma_; }
@@ -387,7 +393,6 @@ class Add final : public Layer {
   }
   [[nodiscard]] Tensor forward(
       std::span<const Tensor* const> inputs) const override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
 };
 
 /// Concatenation along the channel (last) axis.
@@ -399,7 +404,6 @@ class Concat final : public Layer {
   }
   [[nodiscard]] Tensor forward(
       std::span<const Tensor* const> inputs) const override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
 };
 
 /// Output spatial extent for a conv/pool window.

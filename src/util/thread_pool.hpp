@@ -35,8 +35,8 @@ class ThreadPool {
  public:
   /// Chunk body: half-open index range plus the executing lane in
   /// [0, size()). The lane is stable for the duration of one chunk and is
-  /// meant for per-thread scratch (replica models, buffers) — results must
-  /// never depend on it.
+  /// meant for per-thread scratch buffers — results must never depend on
+  /// it.
   using ChunkFn = std::function<void(std::size_t begin, std::size_t end,
                                      unsigned lane)>;
 

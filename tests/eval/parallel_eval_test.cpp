@@ -1,13 +1,17 @@
 // The δ-sweep harness promises thread-count-independent results: every
 // sweep run at 2 or 8 threads must match the 1-thread run bit for bit
-// (per-task RNG streams, cloned per-lane replicas, ordered reductions).
+// (per-task RNG streams, kernel overrides on one shared model, ordered
+// reductions).
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "eval/flow.hpp"
+#include "eval/layer_selection.hpp"
 #include "eval/multi_layer.hpp"
+#include "eval/probes.hpp"
 #include "eval/sensitivity.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace nocw::eval {
@@ -102,6 +106,50 @@ TEST_F(ParallelEval, EvaluateManyLeavesModelWeightsUntouched) {
   const auto kernel = m.graph.layer(idx).kernel();
   for (std::size_t i = 0; i < before.size(); ++i) {
     ASSERT_EQ(kernel[i], before[i]) << "index " << i;
+  }
+}
+
+TEST_F(ParallelEval, SharedGraphConcurrentOverridesMatchSerial) {
+  // Eight lanes replay the tail of one const graph at once, each with its
+  // own kernel override; each replay must equal the serial one bit for bit.
+  constexpr std::size_t kLanes = 8;
+  set_global_threads(1);
+  const nn::Model m = nn::make_lenet5();
+  const nn::Graph& g = m.graph;
+  const int node = select_layer(m);
+  const nn::Tensor probes =
+      make_probes(4, m.input_size, m.input_channels, /*seed=*/99);
+  const auto [full, captured] = g.forward_capturing(probes, node);
+  const auto own = g.layer(node).kernel();
+  const std::vector<float> before(own.begin(), own.end());
+  std::vector<std::vector<float>> kernels(kLanes, before);
+  for (std::size_t k = 0; k < kLanes; ++k) {
+    Xoshiro256pp rng(task_seed(7, k));
+    for (float& v : kernels[k]) v += static_cast<float>(rng.uniform(-0.2, 0.2));
+  }
+  std::vector<nn::Tensor> ref(kLanes);
+  for (std::size_t k = 0; k < kLanes; ++k) {
+    ref[k] = g.forward_tail(captured, node, {node, kernels[k]});
+  }
+
+  set_global_threads(kLanes);
+  std::vector<nn::Tensor> got(kLanes);
+  global_pool().parallel_for(
+      0, kLanes, /*grain=*/1,
+      [&](std::size_t k0, std::size_t k1, unsigned /*lane*/) {
+        for (std::size_t k = k0; k < k1; ++k) {
+          got[k] = g.forward_tail(captured, node, {node, kernels[k]});
+        }
+      });
+  for (std::size_t k = 0; k < kLanes; ++k) {
+    ASSERT_EQ(got[k].shape(), ref[k].shape());
+    for (std::size_t i = 0; i < ref[k].size(); ++i) {
+      ASSERT_EQ(got[k][i], ref[k][i]) << "lane " << k << " index " << i;
+    }
+  }
+  EXPECT_NE(ref[0].data()[0], ref[1].data()[0]);  // overrides took effect
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    ASSERT_EQ(own[i], before[i]) << "index " << i;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -132,6 +133,61 @@ TEST(Graph, TailReplaySeesWeightChanges) {
     if (replay[i] != full[i]) changed = true;
   }
   EXPECT_TRUE(changed);
+}
+
+TEST(Graph, KernelOverrideMatchesInstalledWeights) {
+  // One node of every layer type that owns a kernel, plus parameterless ones.
+  Graph g;
+  const int in_node = g.add(std::make_unique<InputLayer>(
+      "input", std::vector<int>{0, 6, 6, 2}));
+  const int conv = g.add(
+      std::make_unique<Conv2D>("conv", 2, 4, 3, 3, 1, Padding::Same),
+      {in_node});
+  const int bn = g.add(std::make_unique<BatchNorm>("bn", 4), {conv});
+  const int relu = g.add(std::make_unique<ReLU>("relu"), {bn});
+  const int dw = g.add(std::make_unique<DepthwiseConv2D>("dw", 4, 3, 3, 2,
+                                                         Padding::Same),
+                       {relu});
+  const int flat = g.add(std::make_unique<Flatten>("flatten"), {dw});
+  const int dense = g.add(std::make_unique<Dense>("dense", 3 * 3 * 4, 5),
+                          {flat});
+  init_graph(g, 15);
+  Tensor in({3, 6, 6, 2});
+  Xoshiro256pp rng(233);
+  for (auto& v : in.data()) v = static_cast<float>(rng.normal());
+
+  const auto expect_bitwise = [](const Tensor& a, const Tensor& b) {
+    ASSERT_EQ(a.shape(), b.shape());
+    for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]) << i;
+  };
+  for (int node : {conv, bn, dw, dense}) {
+    SCOPED_TRACE(g.layer(node).name());
+    const auto own = g.layer(node).kernel();
+    const std::vector<float> saved(own.begin(), own.end());
+    std::vector<float> w(own.size());
+    for (auto& v : w) v = static_cast<float>(rng.normal());
+    const auto [full, captured] = g.forward_capturing(in, node);
+
+    const Tensor over = g.forward(in, {node, w});
+    const Tensor over_tail = g.forward_tail(captured, node, {node, w});
+    std::copy(w.begin(), w.end(), own.begin());
+    const Tensor installed = g.forward(in);
+    const Tensor installed_tail = g.forward_tail(captured, node);
+    std::copy(saved.begin(), saved.end(), own.begin());
+
+    expect_bitwise(over, installed);
+    expect_bitwise(over_tail, installed_tail);
+    expect_bitwise(g.forward(in), full);  // the graph itself was not written
+    EXPECT_FALSE(std::equal(over.data().begin(), over.data().end(),
+                            full.data().begin()));
+  }
+
+  const std::vector<float> short_kernel(g.layer(dense).kernel().size() - 1);
+  EXPECT_THROW((void)g.forward(in, {dense, short_kernel}),
+               std::invalid_argument);
+  EXPECT_THROW((void)g.forward(in, {relu, {}}), std::invalid_argument);
+  EXPECT_THROW((void)g.forward(in, {relu, short_kernel}),
+               std::invalid_argument);
 }
 
 TEST(Graph, TailFromPrefixDependentNodeThrows) {

@@ -276,28 +276,5 @@ TEST_F(ParallelDeterminism, GraphForwardBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(ParallelDeterminism, CloneIsDeepAndForwardEquivalent) {
-  Model m = make_lenet5();
-  Graph copy = m.graph.clone();
-
-  Tensor input({2, m.input_size, m.input_size, m.input_channels});
-  {
-    Xoshiro256pp rng(11);
-    for (auto& v : input.data()) v = static_cast<float>(rng.normal());
-  }
-  const Tensor a = m.graph.forward(input);
-  const Tensor b = copy.forward(input);
-  for (std::size_t i = 0; i < a.data().size(); ++i) {
-    ASSERT_EQ(a.data()[i], b.data()[i]) << "index " << i;
-  }
-
-  // Mutating the clone must not leak into the original (deep copy).
-  const int idx = copy.find("dense_1");
-  auto kernel = copy.layer(idx).kernel();
-  const float before = m.graph.layer(idx).kernel()[0];
-  kernel[0] += 1.0F;
-  EXPECT_EQ(m.graph.layer(idx).kernel()[0], before);
-}
-
 }  // namespace
 }  // namespace nocw::nn
