@@ -16,10 +16,9 @@
 //       priority must beat FIFO on the interactive tenant's p99.
 //
 // Outputs: the summary metrics (nocw.bench_summary.v1 keys for the
-// dashboard serving panel + obs_diff gate), BENCH_serving.json (full
-// per-class detail, schema nocw.serving.v1, path override
-// NOCW_SERVE_JSON), and a queue-depth time series for one overloaded
-// point (results/serving_queue_depth.json).
+// dashboard serving panel + obs_diff gate), the aggregate table
+// (results/ext_serving.csv), and a queue-depth time series for one
+// overloaded point (results/serving_queue_depth.json).
 #include "bench_util.hpp"
 
 #include <cmath>
@@ -32,7 +31,6 @@
 #include "eval/flow.hpp"
 #include "eval/serving.hpp"
 #include "nn/models.hpp"
-#include "obs/jsonfmt.hpp"
 #include "obs/log.hpp"
 #include "obs/timeseries.hpp"
 #include "util/thread_pool.hpp"
@@ -86,52 +84,6 @@ std::map<std::string, double> flatten(const eval::ServingSweepResult& r) {
         static_cast<double>(pt.result.makespan.value());
   }
   return out;
-}
-
-void write_serving_json(const std::string& path,
-                        const eval::ServingSweepResult& r) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return;
-  std::fprintf(f, "{\"schema\":\"nocw.serving.v1\",\"capacity_rps\":%s,\n",
-               obs::json_number(r.capacity_rps).c_str());
-  std::fprintf(f, "\"points\":[\n");
-  const auto class_json = [](const serve::ClassServeStats& s) {
-    std::string j = "{\"name\":\"" + obs::json_escape(s.name) +
-                    "\",\"tenant\":" + std::to_string(s.tenant) +
-                    ",\"offered\":" + std::to_string(s.offered) +
-                    ",\"completed\":" + std::to_string(s.completed) +
-                    ",\"shed\":" + std::to_string(s.shed) + ",\"shed_rate\":" +
-                    obs::json_number(s.shed_rate) + ",\"p50_cycles\":" +
-                    obs::json_number(finite_or_zero(s.latency.p50)) +
-                    ",\"p99_cycles\":" +
-                    obs::json_number(finite_or_zero(s.latency.p99)) +
-                    ",\"p999_cycles\":" +
-                    obs::json_number(finite_or_zero(s.latency.p999)) + "}";
-    return j;
-  };
-  for (std::size_t i = 0; i < r.points.size(); ++i) {
-    const eval::ServingPoint& pt = r.points[i];
-    std::fprintf(
-        f,
-        "{\"scheduler\":\"%s\",\"offered_load\":%s,\"offered_rps\":%s,"
-        "\"goodput_rps\":%s,\"batches\":%llu,\"mean_batch_size\":%s,"
-        "\"aggregate\":%s,\"classes\":[",
-        obs::json_escape(pt.scheduler).c_str(),
-        obs::json_number(pt.offered_load).c_str(),
-        obs::json_number(pt.offered_rps).c_str(),
-        obs::json_number(pt.result.goodput_rps).c_str(),
-        static_cast<unsigned long long>(pt.result.batches),
-        obs::json_number(pt.result.mean_batch_size).c_str(),
-        class_json(pt.result.aggregate).c_str());
-    for (std::size_t c = 0; c < pt.result.per_class.size(); ++c) {
-      std::fprintf(f, "%s%s", c > 0 ? "," : "",
-                   class_json(pt.result.per_class[c]).c_str());
-    }
-    std::fprintf(f, "]}%s\n", i + 1 < r.points.size() ? "," : "");
-  }
-  std::fprintf(f, "]}\n");
-  std::fclose(f);
-  obs::log("[serving] wrote %s\n", path.c_str());
 }
 
 }  // namespace
@@ -275,9 +227,6 @@ int main(int, char** argv) {
       mmpp.points.front().result.aggregate.shed_rate;
   ev.annotate_manifest(man);
   bench::write_summary(dir, man);
-
-  write_serving_json(env_string("NOCW_SERVE_JSON", "BENCH_serving.json"),
-                     sweep);
 
   if (!deterministic) {
     std::fprintf(stderr,

@@ -13,7 +13,7 @@ namespace nocw::serve {
 
 namespace {
 
-/// The batch currently occupying the accelerator.
+/// The batch currently occupying the accelerator; no requests = idle.
 struct Flight {
   std::vector<Request> requests;  ///< all of one class
   std::size_t class_id = 0;
@@ -111,6 +111,10 @@ ServeResult ServeSim::run(std::span<const Arrival> arrivals,
     NOCW_CHECK_LT(a.class_id, classes_.size());
     ++offered[a.class_id];
   }
+  for (std::size_t c = 0; c < classes_.size(); ++c) {
+    class_latency[c].reserve(offered[c]);
+  }
+  all_latency.reserve(arrivals.size());
 
   const auto sample_depth = [&](std::uint64_t cycle) {
     if (series != nullptr) {
@@ -125,7 +129,9 @@ ServeResult ServeSim::run(std::span<const Arrival> arrivals,
   std::uint64_t batches = 0;
   std::uint64_t batched_requests = 0;
   std::uint64_t makespan = 0;
-  std::optional<Flight> flight;
+  // One buffer reused by every batch: dispatch refills it, retire empties
+  // it, so only the first batch allocates.
+  Flight flight;
 
   while (true) {
     // (1) Admit every arrival due at or before `now`. The clock only ever
@@ -178,10 +184,10 @@ ServeResult ServeSim::run(std::span<const Arrival> arrivals,
     }
 
     // (2) Retire the in-flight batch once its finish cycle is reached.
-    if (flight.has_value() && now >= flight->finish) {
-      for (std::size_t j = 0; j < flight->requests.size(); ++j) {
-        Request& r = flight->requests[j];
-        r.finish_cycle = flight->finish;
+    if (!flight.requests.empty() && now >= flight.finish) {
+      for (std::size_t j = 0; j < flight.requests.size(); ++j) {
+        Request& r = flight.requests[j];
+        r.finish_cycle = flight.finish;
         const std::uint64_t latency_cycles =
             r.finish_cycle - r.arrival_cycle;
         const auto latency = static_cast<double>(latency_cycles);
@@ -209,12 +215,12 @@ ServeResult ServeSim::run(std::span<const Arrival> arrivals,
             // the full-cost layout, followers serialize marginal slots
             // after it (batch cost = full + (n-1)*marginal).
             const std::uint64_t full =
-                profiles_[flight->class_id].full_cycles.value();
+                profiles_[flight.class_id].full_cycles.value();
             const std::uint64_t marginal =
-                profiles_[flight->class_id].marginal_cycles.value();
+                profiles_[flight.class_id].marginal_cycles.value();
             const std::uint64_t svc_start =
-                j == 0 ? flight->start
-                       : flight->start + full +
+                j == 0 ? flight.start
+                       : flight.start + full +
                              (static_cast<std::uint64_t>(j) - 1) * marginal;
             const std::uint64_t svc_dur = j == 0 ? full : marginal;
             TraceSeed seed;
@@ -223,7 +229,7 @@ ServeResult ServeSim::run(std::span<const Arrival> arrivals,
             seed.marginal_layout = j > 0;
             seed.root = root;
             seed.arrival_cycle = r.arrival_cycle;
-            seed.batch_start = flight->start;
+            seed.batch_start = flight.start;
             seed.svc_start = svc_start;
             seed.svc_dur = svc_dur;
             seed.finish_cycle = r.finish_cycle;
@@ -232,14 +238,14 @@ ServeResult ServeSim::run(std::span<const Arrival> arrivals,
           }
         }
       }
-      makespan = flight->finish;
-      flight.reset();
+      makespan = flight.finish;
+      flight.requests.clear();
     }
 
-    if (flight.has_value()) {
+    if (!flight.requests.empty()) {
       // Accelerator busy: jump to the next arrival or the batch finish,
       // whichever comes first.
-      std::uint64_t next = flight->finish;
+      std::uint64_t next = flight.finish;
       if (next_arrival < arrivals.size()) {
         next = std::min(next, arrivals[next_arrival].cycle);
       }
@@ -273,22 +279,21 @@ ServeResult ServeSim::run(std::span<const Arrival> arrivals,
     // Dispatch: the scheduler seeds the batch, same-class requests join in
     // arrival order up to max_batch.
     const std::size_t seed_index = scheduler.pick(queue, classes_, profiles_);
-    Flight f;
-    f.requests.push_back(queue.take(seed_index));
-    f.class_id = f.requests.front().class_id;
+    flight.requests.push_back(queue.take(seed_index));
+    flight.class_id = flight.requests.front().class_id;
     std::size_t scan = 0;
-    while (f.requests.size() < max_batch && scan < queue.size()) {
-      if (queue.pending()[scan].class_id == f.class_id) {
-        f.requests.push_back(queue.take(scan));
+    while (flight.requests.size() < max_batch && scan < queue.size()) {
+      if (queue.pending()[scan].class_id == flight.class_id) {
+        flight.requests.push_back(queue.take(scan));
       } else {
         ++scan;
       }
     }
-    const auto n = static_cast<std::uint64_t>(f.requests.size());
-    const units::Cycles service = profiles_[f.class_id].batch_cycles(n);
-    f.start = now;
-    f.finish = now + service.value();
-    for (Request& r : f.requests) r.start_cycle = now;
+    const auto n = static_cast<std::uint64_t>(flight.requests.size());
+    const units::Cycles service = profiles_[flight.class_id].batch_cycles(n);
+    flight.start = now;
+    flight.finish = now + service.value();
+    for (Request& r : flight.requests) r.start_cycle = now;
     ++batches;
     batched_requests += n;
     sample_depth(now);
@@ -298,14 +303,14 @@ ServeResult ServeSim::run(std::span<const Arrival> arrivals,
     obs::TraceContext batch_ctx;
     if (hooked) {
       const obs::TraceContext seed_root =
-          request_trace_context(hooks.trace_seed, f.requests.front().id);
+          request_trace_context(hooks.trace_seed, flight.requests.front().id);
       batch_ctx = obs::derive_child(seed_root, 2);
     }
     const obs::ScopedTraceContext batch_tctx(batch_ctx);
     NOCW_TRACE_SPAN_ARG(obs::kCatServe,
-                        "serve.batch:" + classes_[f.class_id].name,
+                        "serve.batch:" + classes_[flight.class_id].name,
                         obs::kPidServe,
-                        static_cast<std::uint32_t>(f.class_id), now,
+                        static_cast<std::uint32_t>(flight.class_id), now,
                         service.value(), "requests", static_cast<double>(n));
     if (NOCW_TRACE_ON(obs::kCatServe)) {
       // Trace-only replay: stitch the accelerator's own layer/phase spans
@@ -313,12 +318,11 @@ ServeResult ServeSim::run(std::span<const Arrival> arrivals,
       // discarded — timing always comes from the profiles — and simulation
       // is pure, so this cannot change any reported number.
       obs::ScopedTimeBase batch_base(obs::time_base() + now);
+      const RequestClass& cls = classes_[flight.class_id];
       const accel::CompressionPlan* plan =
-          classes_[f.class_id].plan.empty() ? nullptr
-                                            : &classes_[f.class_id].plan;
-      (void)sim_.simulate(classes_[f.class_id].summary, plan);
+          cls.plan.empty() ? nullptr : &cls.plan;
+      (void)sim_.simulate(cls.summary, plan);
     }
-    flight = std::move(f);
   }
 
   // Close the monitor's final windows, then let the sink promote its

@@ -25,12 +25,6 @@ double percentile_sorted(std::span<const double> sorted, double p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-double percentile(std::span<const double> samples, double p) {
-  std::vector<double> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  return percentile_sorted(sorted, p);
-}
-
 TailPercentiles tail_percentiles_sorted(std::span<const double> sorted) {
   TailPercentiles t;
   t.count = sorted.size();
@@ -51,9 +45,49 @@ TailPercentiles tail_percentiles_sorted(std::span<const double> sorted) {
 }
 
 TailPercentiles tail_percentiles(std::span<const double> samples) {
-  std::vector<double> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  return tail_percentiles_sorted(sorted);
+  std::vector<double> v(samples.begin(), samples.end());
+  if (v.empty()) return tail_percentiles_sorted(v);
+  TailPercentiles t;
+  t.count = v.size();
+  double lo = v.front();
+  double hi = v.front();
+  double acc = 0.0;
+  for (double x : v) {
+    lo = std::min(lo, x);
+    hi = std::max(hi, x);
+    acc += x;
+  }
+  t.mean = acc / static_cast<double>(v.size());
+  t.max = hi;
+  if (lo == hi) {  // percentile_sorted's all-equal short-circuit
+    t.p50 = t.p90 = t.p99 = t.p999 = lo;
+    return t;
+  }
+  // Ascending p, so each selection only partitions the part to the right of
+  // the previous order statistic: [first, end) holds exactly the samples
+  // ranked at or above `first`.
+  std::size_t first = 0;
+  const auto at = [&](double p) {
+    const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+    const auto k = static_cast<std::size_t>(rank);
+    const double frac = rank - static_cast<double>(k);
+    if (k >= first) {
+      std::nth_element(v.begin() + static_cast<std::ptrdiff_t>(first),
+                       v.begin() + static_cast<std::ptrdiff_t>(k), v.end());
+      first = k + 1;
+    }
+    if (frac == 0.0) return v[k];
+    // frac > 0 puts rank below n-1, so order statistic k+1 exists and is
+    // the least sample right of k.
+    const double next = *std::min_element(
+        v.begin() + static_cast<std::ptrdiff_t>(k + 1), v.end());
+    return v[k] + frac * (next - v[k]);
+  };
+  t.p50 = at(50.0);
+  t.p90 = at(90.0);
+  t.p99 = at(99.0);
+  t.p999 = at(99.9);
+  return t;
 }
 
 double mean_squared_error(std::span<const float> a, std::span<const float> b) {

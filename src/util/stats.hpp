@@ -74,12 +74,8 @@ class RunningStats {
 /// max. Precondition: `sorted` is ascending (checked in debug builds).
 double percentile_sorted(std::span<const double> sorted, double p);
 
-/// As percentile_sorted, but copies and sorts internally. Prefer the sorted
-/// form when extracting several percentiles from one sample set.
-double percentile(std::span<const double> samples, double p);
-
 /// The serving layer's tail summary: p50/p90/p99/p99.9 plus mean/max, all
-/// from one sort. Every field follows percentile_sorted's determinism
+/// of one sample set. Every field follows percentile_sorted's determinism
 /// contract (empty -> quiet NaN everywhere except count, single sample ->
 /// that sample for every p, all-equal -> that value, exact integer ranks
 /// short-circuit without interpolation). p99.9 needs >= 1001 samples before
@@ -98,7 +94,13 @@ struct TailPercentiles {
 /// Tail summary of `sorted` (ascending; checked in debug builds).
 TailPercentiles tail_percentiles_sorted(std::span<const double> sorted);
 
-/// As tail_percentiles_sorted, but copies and sorts internally.
+/// Tail summary of unsorted `samples`, by selection on a copy: O(n) instead
+/// of a sort, with every percentile built from percentile_sorted's exact
+/// expression. The mean is summed in input order, not sorted order; the two
+/// sums agree bit for bit whenever the samples are integer-valued and
+/// |sum| < 2^53, since every partial sum is then exact. The uint64 cycle
+/// latencies both callers pass (ServeSim, SloMonitor) meet that; for other
+/// data the mean may differ from tail_percentiles_sorted's in the last bits.
 TailPercentiles tail_percentiles(std::span<const double> samples);
 
 /// Mean squared error between two equally sized sequences.

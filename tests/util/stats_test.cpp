@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -75,7 +76,6 @@ TEST(RunningStats, MergeWithEmptyIsIdentity) {
 
 TEST(Percentile, EmptyIsNaN) {
   EXPECT_TRUE(std::isnan(percentile_sorted({}, 50.0)));
-  EXPECT_TRUE(std::isnan(percentile({}, 99.0)));
 }
 
 TEST(Percentile, SingleSampleForEveryP) {
@@ -106,13 +106,6 @@ TEST(Percentile, ClampsPToValidRange) {
   EXPECT_DOUBLE_EQ(percentile_sorted(v, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(percentile_sorted(v, 100.0), 3.0);
   EXPECT_DOUBLE_EQ(percentile_sorted(v, 250.0), 3.0);
-}
-
-TEST(Percentile, UnsortedConvenienceFormSorts) {
-  const std::vector<double> v{9.0, 1.0, 5.0, 3.0, 7.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 50.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100.0), 9.0);
 }
 
 TEST(TailPercentiles, EmptyIsNaNWithZeroCount) {
@@ -192,6 +185,57 @@ TEST(TailPercentiles, UnsortedConvenienceFormMatchesSorted) {
   EXPECT_DOUBLE_EQ(a.p99, b.p99);
   EXPECT_DOUBLE_EQ(a.p999, b.p999);
   EXPECT_DOUBLE_EQ(a.max, b.max);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(TailPercentiles, SelectionMatchesSortedBitwise) {
+  // Integer-valued samples (like cycle latencies) in shuffled order: the
+  // selection form must reproduce the sorted reference bit for bit, mean
+  // included (integer partial sums are exact).
+  enum class Shape { kSpread, kDuplicates, kAllEqual, kOutlier };
+  Xoshiro256pp rng(17);
+  for (const std::size_t n : {1, 2, 3, 7, 100, 1000, 1001, 100000}) {
+    for (const Shape shape : {Shape::kSpread, Shape::kDuplicates,
+                              Shape::kAllEqual, Shape::kOutlier}) {
+      std::vector<double> v(n);
+      for (double& x : v) {
+        switch (shape) {
+          case Shape::kSpread:
+            x = static_cast<double>(rng.bounded(1'000'000));
+            break;
+          case Shape::kDuplicates:
+            x = static_cast<double>(1000 + 250 * rng.bounded(4));
+            break;
+          case Shape::kAllEqual:
+            x = 4242.0;
+            break;
+          case Shape::kOutlier:
+            x = static_cast<double>(5000 + rng.bounded(100));
+            break;
+        }
+      }
+      if (shape == Shape::kOutlier) v[n / 2] = 1e12;
+      for (std::size_t i = n; i > 1; --i) {  // Fisher-Yates
+        std::swap(v[i - 1], v[rng.bounded(i)]);
+      }
+      std::vector<double> sorted = v;
+      std::sort(sorted.begin(), sorted.end());
+      const TailPercentiles a = tail_percentiles(v);
+      const TailPercentiles b = tail_percentiles_sorted(sorted);
+      SCOPED_TRACE("n=" + std::to_string(n) + " shape=" +
+                   std::to_string(static_cast<int>(shape)));
+      EXPECT_EQ(a.count, b.count);
+      EXPECT_TRUE(same_bits(a.mean, b.mean)) << a.mean << " vs " << b.mean;
+      EXPECT_TRUE(same_bits(a.p50, b.p50)) << a.p50 << " vs " << b.p50;
+      EXPECT_TRUE(same_bits(a.p90, b.p90)) << a.p90 << " vs " << b.p90;
+      EXPECT_TRUE(same_bits(a.p99, b.p99)) << a.p99 << " vs " << b.p99;
+      EXPECT_TRUE(same_bits(a.p999, b.p999)) << a.p999 << " vs " << b.p999;
+      EXPECT_TRUE(same_bits(a.max, b.max)) << a.max << " vs " << b.max;
+    }
+  }
 }
 
 TEST(Mse, IdenticalIsZero) {
