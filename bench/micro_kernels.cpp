@@ -32,6 +32,7 @@
 #include "quant/affine.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -45,16 +46,41 @@ std::vector<float> weights(std::size_t n, double stddev = 0.05) {
   return w;
 }
 
+// Both codec entry points share one segmentation + fit loop; δ = 0, 10 and
+// 20 cover its short-segment, typical and length-capped regimes.
+// Args: {weights, δ%}.
 void BM_Compress(benchmark::State& state) {
   const auto w = weights(static_cast<std::size_t>(state.range(0)));
   core::CodecConfig cfg;
-  cfg.delta_percent = 10.0;
+  cfg.delta_percent = static_cast<double>(state.range(1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::compress(w, cfg));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Compress)->Arg(1 << 14)->Arg(1 << 18);
+BENCHMARK(BM_Compress)
+    ->Args({1 << 14, 10})
+    ->Args({1 << 18, 0})
+    ->Args({1 << 18, 10})
+    ->Args({1 << 18, 20});
+
+void BM_CompressInto(benchmark::State& state) {
+  const auto w = weights(static_cast<std::size_t>(state.range(0)));
+  core::CodecConfig cfg;
+  cfg.delta_percent = static_cast<double>(state.range(1));
+  const double range = value_range(w);
+  std::vector<float> out(w.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::compress_into(w, cfg, range, out));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CompressInto)
+    ->Args({1 << 18, 0})
+    ->Args({1 << 18, 10})
+    ->Args({1 << 18, 20});
 
 void BM_Decompress(benchmark::State& state) {
   const auto w = weights(static_cast<std::size_t>(state.range(0)));

@@ -6,6 +6,12 @@
 // w̃_1 = q_i, w̃_j = w̃_{j-1} + m_i (Eq. 2) — accumulation only, no multiply —
 // exactly what the per-PE hardware decompression unit of Fig. 6 computes.
 //
+// compress() keeps the segments (for serialization, the decompressor unit
+// and multi-δ caches). compress_into() streams instead, as the hardware does:
+// each segment is reconstructed and scored the moment it closes, while its
+// ≤ 256 weights are still in L1, and is then dropped. Both run the same
+// segmentation + fit loop and agree bit for bit (sizes, SSE and weights).
+//
 // Field widths are configurable so the storage-cost model can be explored
 // (an ablation the paper leaves implicit): coefficients may be rounded to a
 // truncated float32 (keeping the top `coef_bits` of the IEEE-754 encoding,
@@ -67,6 +73,35 @@ struct CodecConfig {
   /// compressed_bits(); off by default so the paper's Table II numbers are
   /// unchanged.
   bool segment_checksum = false;
+
+  /// Bits one serialized ⟨m, q, len⟩ record occupies:
+  /// 2·coef_bits + length_bits, plus 8 with the CRC-8.
+  [[nodiscard]] std::size_t segment_bits() const noexcept {
+    return 2 * static_cast<std::size_t>(coef_bits) + length_bits +
+           (segment_checksum ? 8 : 0);
+  }
+};
+
+/// Size and error of one compression, without the segments themselves: the
+/// single home of the paper's bit accounting. CompressedLayer reports
+/// through it, and it is all compress_into() returns.
+struct CompressionStats {
+  std::size_t segment_count = 0;
+  std::size_t original_count = 0;  ///< n = |W|
+  double delta_abs = 0.0;          ///< absolute δ used for segmentation
+  double sse = 0.0;                ///< Σ (w_i - w̃_i)² after Eq. 2 replay
+  CodecConfig config;
+
+  /// Payload bits of the compressed representation (no container header).
+  [[nodiscard]] std::size_t compressed_bits() const noexcept;
+  /// Bits of the uncompressed representation.
+  [[nodiscard]] std::size_t original_bits() const noexcept;
+  /// CR column of Table II: original bits / compressed bits.
+  [[nodiscard]] double compression_ratio() const noexcept;
+  /// MSE column of Table II.
+  [[nodiscard]] double mse() const noexcept;
+  /// Mean |M_i|.
+  [[nodiscard]] double mean_segment_length() const noexcept;
 };
 
 /// One encoded sub-succession: the fitted line and how many weights it
@@ -87,22 +122,32 @@ struct CompressedLayer {
   double sse = 0.0;                ///< Σ (w_i - w̃_i)² after Eq. 2 replay
   CodecConfig config;
 
-  /// Payload bits of the compressed representation (no container header).
+  /// The layer's size and error; the accessors below read through it.
+  [[nodiscard]] CompressionStats stats() const noexcept {
+    return {segments.size(), original_count, delta_abs, sse, config};
+  }
   [[nodiscard]] std::size_t compressed_bits() const noexcept;
-  /// Bits of the uncompressed representation.
   [[nodiscard]] std::size_t original_bits() const noexcept;
-  /// CR column of Table II: original bits / compressed bits.
   [[nodiscard]] double compression_ratio() const noexcept;
-  /// MSE column of Table II.
   [[nodiscard]] double mse() const noexcept;
-  /// Mean |M_i|.
   [[nodiscard]] double mean_segment_length() const noexcept;
 };
 
 /// Compress `weights` with tolerance δ = cfg.delta_percent % of the range.
-/// Single pass for segmentation+fit, one replay pass for the exact SSE.
+/// One pass segments and fits; a replay pass over the segments records the
+/// exact Eq. 2 SSE.
 CompressedLayer compress(std::span<const float> weights,
                          const CodecConfig& cfg);
+
+/// Compress `weights` and write the reconstruction decompress(compress())
+/// would produce straight into `out`, in one pass that never stores a
+/// segment. `range` is value_range(weights), so a caller compressing one
+/// layer at many δ computes it once. Returns compress()'s statistics bit
+/// for bit. Throws std::invalid_argument unless out.size() == weights.size().
+/// Every element of `out` is written, so it may start uninitialized.
+CompressionStats compress_into(std::span<const float> weights,
+                               const CodecConfig& cfg, double range,
+                               std::span<float> out);
 
 /// Reconstruct the approximated weights via Eq. (2). `out.size()` must equal
 /// `layer.original_count`. Segment headers are validated first: a length that

@@ -12,19 +12,24 @@ double mem_footprint_reduction(double layer_cr,
   return layer_fraction * (1.0 - 1.0 / layer_cr);
 }
 
+CompressionReport compression_report(const CompressionStats& stats,
+                                     double layer_fraction) noexcept {
+  CompressionReport r;
+  r.delta_percent = stats.config.delta_percent;
+  r.cr = stats.compression_ratio();
+  r.weighted_cr = weighted_cr(r.cr, layer_fraction);
+  r.mem_fp_reduction = mem_footprint_reduction(r.cr, layer_fraction);
+  r.mse = stats.mse();
+  r.segment_count = stats.segment_count;
+  r.mean_segment_length = stats.mean_segment_length();
+  return r;
+}
+
 CompressionReport assess_compression(std::span<const float> layer_weights,
                                      double layer_fraction,
                                      const CodecConfig& cfg) {
-  const CompressedLayer layer = compress(layer_weights, cfg);
-  CompressionReport r;
-  r.delta_percent = cfg.delta_percent;
-  r.cr = layer.compression_ratio();
-  r.weighted_cr = weighted_cr(r.cr, layer_fraction);
-  r.mem_fp_reduction = mem_footprint_reduction(r.cr, layer_fraction);
-  r.mse = layer.mse();
-  r.segment_count = layer.segments.size();
-  r.mean_segment_length = layer.mean_segment_length();
-  return r;
+  return compression_report(compress(layer_weights, cfg).stats(),
+                            layer_fraction);
 }
 
 }  // namespace nocw::core

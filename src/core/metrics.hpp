@@ -32,6 +32,11 @@ double weighted_cr(double layer_cr, double layer_fraction) noexcept;
 /// Model-level memory-footprint reduction (0..1).
 double mem_footprint_reduction(double layer_cr, double layer_fraction) noexcept;
 
+/// The Table II row of one compression (`stats.config.delta_percent` is the
+/// δ column) for a layer holding `layer_fraction` of the model parameters.
+CompressionReport compression_report(const CompressionStats& stats,
+                                     double layer_fraction) noexcept;
+
 /// Compress `layer_weights` at `cfg.delta_percent` and produce the Table II
 /// row for a layer accounting for `layer_fraction` of the model parameters.
 CompressionReport assess_compression(std::span<const float> layer_weights,

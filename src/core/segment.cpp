@@ -5,7 +5,11 @@
 namespace nocw::core {
 
 double delta_from_percent(double percent, std::span<const float> weights) {
-  return percent * value_range(weights) / 100.0;
+  return delta_from_percent(percent, value_range(weights));
+}
+
+double delta_from_percent(double percent, double range) noexcept {
+  return percent * range / 100.0;
 }
 
 std::size_t StreamSegmenter::push(float value) noexcept {

@@ -36,6 +36,8 @@ struct SegmenterConfig {
 /// Convert the paper's δ-as-percent-of-range convention to an absolute δ.
 /// Table II reports δ = x% meaning x * (max(W) - min(W)) / 100.
 double delta_from_percent(double percent, std::span<const float> weights);
+/// The same, for a caller that already knows `range` = max(W) - min(W).
+double delta_from_percent(double percent, double range) noexcept;
 
 /// Greedy maximal segmentation. Every element of `weights` belongs to exactly
 /// one segment; segments are returned in order and tile [0, n).

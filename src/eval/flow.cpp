@@ -1,11 +1,13 @@
 #include "eval/flow.hpp"
 
-#include <stdexcept>
+#include <memory>
+#include <span>
 
 #include "eval/layer_selection.hpp"
 #include "eval/probes.hpp"
 #include "nn/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace nocw::eval {
@@ -34,6 +36,7 @@ void DeltaEvaluator::prepare(const nn::Tensor& inputs) {
       static_cast<double>(
           model_->graph.layer(selected_node_).param_count()) /
       static_cast<double>(model_->graph.total_params());
+  kernel_range_ = value_range(model_->graph.layer(selected_node_).kernel());
 
   auto [outputs, captured] =
       model_->graph.forward_capturing(inputs, selected_node_);
@@ -92,25 +95,20 @@ DeltaPoint DeltaEvaluator::evaluate_point(double delta_percent) const {
   core::CodecConfig codec = cfg_.codec;
   codec.delta_percent = delta_percent;
 
+  // compress_into writes every element, so the buffer needs no zero-fill;
+  // no segment list is ever built.
   const nn::Graph& graph = model_->graph;
   const auto kernel = graph.layer(selected_node_).kernel();
-  const core::CompressedLayer compressed = core::compress(kernel, codec);
-  point.report.delta_percent = delta_percent;
-  point.report.cr = compressed.compression_ratio();
-  point.report.weighted_cr =
-      core::weighted_cr(point.report.cr, selected_fraction_);
-  point.report.mem_fp_reduction =
-      core::mem_footprint_reduction(point.report.cr, selected_fraction_);
-  point.report.mse = compressed.mse();
-  point.report.segment_count = compressed.segments.size();
-  point.report.mean_segment_length = compressed.mean_segment_length();
-  point.compression.compressed_bits = compressed.compressed_bits();
-  point.compression.weight_count = compressed.original_count;
+  const auto approx = std::make_unique_for_overwrite<float[]>(kernel.size());
+  const std::span<float> approx_span(approx.get(), kernel.size());
+  const core::CompressionStats stats =
+      core::compress_into(kernel, codec, kernel_range_, approx_span);
+  point.report = core::compression_report(stats, selected_fraction_);
+  point.compression.compressed_bits = stats.compressed_bits();
+  point.compression.weight_count = stats.original_count;
 
-  std::vector<float> approx(kernel.size());
-  core::decompress(compressed, approx);
-  const nn::Tensor outputs =
-      graph.forward_tail(captured_, selected_node_, {selected_node_, approx});
+  const nn::Tensor outputs = graph.forward_tail(
+      captured_, selected_node_, {selected_node_, approx_span});
 
   if (labels_.empty()) {
     point.accuracy =

@@ -3,12 +3,14 @@
 // A DeltaEvaluator reads one model, the selected layer (Layer Selection
 // block), a probe set, and the cached activations feeding the selected
 // layer. Because compression perturbs exactly one layer, the expensive
-// network prefix runs once; each δ then costs one compression pass over the
-// layer's weights plus a cheap tail replay that reads the approximated
-// kernel as an override. The model is never written, so every δ point of a
-// sweep replays on the same const model (DESIGN.md §18). Accuracy is top-1
-// against labels when a labeled dataset is supplied (LeNet-5), otherwise
-// top-5 agreement with the original model's outputs (DESIGN.md §4).
+// network prefix runs once; each δ then costs one streaming pass over the
+// layer's weights (core::compress_into: segment, fit, reconstruct and score,
+// never storing a segment) into one uninitialized buffer, plus a cheap tail
+// replay that reads that buffer as a kernel override. The model is never
+// written, so every δ point of a sweep replays on the same const model
+// (DESIGN.md §18). Accuracy is top-1 against labels when a labeled dataset
+// is supplied (LeNet-5), otherwise top-5 agreement with the original
+// model's outputs (DESIGN.md §4).
 #pragma once
 
 #include <cstdint>
@@ -102,6 +104,7 @@ class DeltaEvaluator {
   int selected_node_ = -1;
   std::string selected_name_;
   double selected_fraction_ = 0.0;
+  double kernel_range_ = 0.0;    ///< value_range of the selected kernel
   nn::Tensor captured_;          ///< activations feeding the selected layer
   nn::Tensor baseline_outputs_;  ///< original model outputs on the probes
   std::vector<int> labels_;      ///< labeled mode only

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -27,6 +29,29 @@ TEST(Codec, EmptyLayer) {
   EXPECT_EQ(layer.original_count, 0u);
   EXPECT_TRUE(layer.segments.empty());
   EXPECT_TRUE(decompress(layer).empty());
+}
+
+TEST(Codec, CompressIntoEmptyLayer) {
+  CodecConfig cfg;
+  cfg.delta_percent = 10.0;
+  const CompressionStats st = compress_into({}, cfg, 0.0, {});
+  EXPECT_EQ(st.segment_count, 0u);
+  EXPECT_EQ(st.original_count, 0u);
+  EXPECT_EQ(st.sse, 0.0);
+  EXPECT_EQ(st.compressed_bits(), 0u);
+  EXPECT_EQ(st.compression_ratio(), 1.0);
+  EXPECT_EQ(st.mse(), 0.0);
+}
+
+TEST(Codec, CompressIntoSizeMismatchThrows) {
+  const auto w = gaussian_weights(100, 47);
+  std::vector<float> shorter(99);
+  std::vector<float> longer(101);
+  const double range = value_range(w);
+  EXPECT_THROW(compress_into(w, CodecConfig{}, range, shorter),
+               std::invalid_argument);
+  EXPECT_THROW(compress_into(w, CodecConfig{}, range, longer),
+               std::invalid_argument);
 }
 
 TEST(Codec, SegmentLengthsTileLayer) {
@@ -348,6 +373,39 @@ TEST_P(CodecDeltaSweep, InvariantsHold) {
   for (const auto& s : layer.segments) {
     EXPECT_GE(s.length, 1u);
     EXPECT_LE(s.length, 256u);
+  }
+}
+
+// The streaming path must be compress() + decompress() bit for bit: the
+// reconstruction's bytes, the segment count, δ and the replayed SSE, for
+// every field width that changes the fit (coef_bits) or caps the segments
+// (length_bits).
+TEST_P(CodecDeltaSweep, CompressIntoMatchesCompressBitwise) {
+  const double delta = GetParam();
+  const auto w = gaussian_weights(20000, 52);
+  const double range = value_range(w);
+  for (unsigned coef_bits : {32U, 16U}) {
+    for (unsigned length_bits : {8U, 4U}) {
+      SCOPED_TRACE("coef_bits " + std::to_string(coef_bits) +
+                   " length_bits " + std::to_string(length_bits));
+      CodecConfig cfg;
+      cfg.delta_percent = delta;
+      cfg.coef_bits = coef_bits;
+      cfg.length_bits = length_bits;
+      const CompressedLayer layer = compress(w, cfg);
+      const std::vector<float> ref = decompress(layer);
+      std::vector<float> out(w.size(), std::numeric_limits<float>::quiet_NaN());
+      const CompressionStats st = compress_into(w, cfg, range, out);
+      EXPECT_EQ(std::memcmp(out.data(), ref.data(), ref.size() * sizeof(float)),
+                0);
+      EXPECT_EQ(st.segment_count, layer.segments.size());
+      EXPECT_EQ(st.original_count, layer.original_count);
+      EXPECT_EQ(std::memcmp(&st.delta_abs, &layer.delta_abs, sizeof(double)),
+                0);
+      EXPECT_EQ(std::memcmp(&st.sse, &layer.sse, sizeof(double)), 0);
+      EXPECT_EQ(st.config.coef_bits, layer.config.coef_bits);
+      EXPECT_EQ(st.compressed_bits(), layer.compressed_bits());
+    }
   }
 }
 

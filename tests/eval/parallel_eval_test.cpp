@@ -4,6 +4,7 @@
 // reductions).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "eval/flow.hpp"
@@ -11,6 +12,7 @@
 #include "eval/multi_layer.hpp"
 #include "eval/probes.hpp"
 #include "eval/sensitivity.hpp"
+#include "nn/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -66,29 +68,80 @@ TEST_F(ParallelEval, SensitivityLeavesModelUntouchedWhenParallel) {
 }
 
 TEST_F(ParallelEval, EvaluateManyMatchesSerialEvaluate) {
+  // Every DeltaPoint field must equal the serial evaluate() bit for bit at
+  // any thread count. The codec fields must equal core::compress on the
+  // selected kernel, and the accuracy a tail replay on
+  // decompress(compress()): the evaluator's streaming pass is the Table II
+  // codec. The second codec exercises the CRC-8 bits and bfloat16
+  // coefficients.
   const std::vector<double> deltas{0.0, 5.0, 10.0, 20.0};
+  core::CodecConfig crc16;
+  crc16.segment_checksum = true;
+  crc16.coef_bits = 16;
 
-  set_global_threads(1);
-  nn::Model m = nn::make_lenet5();
-  EvalConfig cfg;
-  cfg.probes = 4;
-  cfg.topk = 3;
-  DeltaEvaluator ev(m, cfg);
-  std::vector<DeltaPoint> ref;
-  for (double d : deltas) ref.push_back(ev.evaluate(d));
+  for (const core::CodecConfig& codec : {core::CodecConfig{}, crc16}) {
+    SCOPED_TRACE("coef_bits " + std::to_string(codec.coef_bits));
+    set_global_threads(1);
+    nn::Model m = nn::make_lenet5();
+    EvalConfig cfg;
+    cfg.probes = 4;
+    cfg.topk = 3;
+    cfg.codec = codec;
+    DeltaEvaluator ev(m, cfg);
+    std::vector<DeltaPoint> ref;
+    for (double d : deltas) ref.push_back(ev.evaluate(d));
 
-  for (unsigned threads : {2U, 8U}) {
-    set_global_threads(threads);
-    const std::vector<DeltaPoint> got = ev.evaluate_many(deltas);
-    ASSERT_EQ(got.size(), ref.size()) << "threads " << threads;
+    const int node = m.graph.find(ev.selected_layer());
+    const auto kernel = m.graph.layer(node).kernel();
+    const nn::Tensor probes = make_probes(cfg.probes, m.input_size,
+                                          m.input_channels, cfg.probe_seed);
+    const auto [full, captured] = m.graph.forward_capturing(probes, node);
     for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(got[i].delta_percent, ref[i].delta_percent);
-      EXPECT_EQ(got[i].accuracy, ref[i].accuracy)
-          << "threads " << threads << " delta " << deltas[i];
-      EXPECT_EQ(got[i].report.cr, ref[i].report.cr);
-      EXPECT_EQ(got[i].report.mse, ref[i].report.mse);
-      EXPECT_EQ(got[i].compression.compressed_bits,
-                ref[i].compression.compressed_bits);
+      core::CodecConfig at = codec;
+      at.delta_percent = deltas[i];
+      const core::CompressedLayer layer = core::compress(kernel, at);
+      const std::vector<float> approx = core::decompress(layer);
+      const nn::Tensor out =
+          m.graph.forward_tail(captured, node, {node, approx});
+      EXPECT_EQ(ref[i].accuracy, nn::mean_topk_agreement(full, out, cfg.topk))
+          << "delta " << deltas[i];
+      const double cr = layer.compression_ratio();
+      const double f = ev.selected_fraction();
+      const core::CompressionReport& r = ref[i].report;
+      EXPECT_EQ(r.delta_percent, deltas[i]);
+      EXPECT_EQ(r.cr, cr) << "delta " << deltas[i];
+      EXPECT_EQ(r.weighted_cr, core::weighted_cr(cr, f));
+      EXPECT_EQ(r.mem_fp_reduction, core::mem_footprint_reduction(cr, f));
+      EXPECT_EQ(r.mse, layer.mse()) << "delta " << deltas[i];
+      EXPECT_EQ(r.segment_count, layer.segments.size());
+      EXPECT_EQ(r.mean_segment_length, layer.mean_segment_length());
+      EXPECT_EQ(ref[i].compression.compressed_bits, layer.compressed_bits());
+      EXPECT_EQ(ref[i].compression.weight_count, layer.original_count);
+    }
+
+    for (unsigned threads : {1U, 2U, 4U, 8U}) {
+      set_global_threads(threads);
+      const std::vector<DeltaPoint> got = ev.evaluate_many(deltas);
+      ASSERT_EQ(got.size(), ref.size()) << "threads " << threads;
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + " delta " +
+                     std::to_string(deltas[i]));
+        const core::CompressionReport& g = got[i].report;
+        const core::CompressionReport& r = ref[i].report;
+        EXPECT_EQ(got[i].delta_percent, ref[i].delta_percent);
+        EXPECT_EQ(got[i].accuracy, ref[i].accuracy);
+        EXPECT_EQ(g.delta_percent, r.delta_percent);
+        EXPECT_EQ(g.cr, r.cr);
+        EXPECT_EQ(g.weighted_cr, r.weighted_cr);
+        EXPECT_EQ(g.mem_fp_reduction, r.mem_fp_reduction);
+        EXPECT_EQ(g.mse, r.mse);
+        EXPECT_EQ(g.segment_count, r.segment_count);
+        EXPECT_EQ(g.mean_segment_length, r.mean_segment_length);
+        EXPECT_EQ(got[i].compression.compressed_bits,
+                  ref[i].compression.compressed_bits);
+        EXPECT_EQ(got[i].compression.weight_count,
+                  ref[i].compression.weight_count);
+      }
     }
   }
 }
