@@ -47,7 +47,9 @@ std::vector<float> weights(std::size_t n, double stddev = 0.05) {
 }
 
 // Both codec entry points share one segmentation + fit loop; δ = 0, 10 and
-// 20 cover its short-segment, typical and length-capped regimes.
+// 20 cover its short-segment, typical and length-capped regimes. The 2^22
+// rows span more than one 2^17-weight chunk, so compress() splits them
+// across the pool (its serial path below that).
 // Args: {weights, δ%}.
 void BM_Compress(benchmark::State& state) {
   const auto w = weights(static_cast<std::size_t>(state.range(0)));
@@ -62,7 +64,9 @@ BENCHMARK(BM_Compress)
     ->Args({1 << 14, 10})
     ->Args({1 << 18, 0})
     ->Args({1 << 18, 10})
-    ->Args({1 << 18, 20});
+    ->Args({1 << 18, 20})
+    ->Args({1 << 22, 0})
+    ->Args({1 << 22, 20});
 
 void BM_CompressInto(benchmark::State& state) {
   const auto w = weights(static_cast<std::size_t>(state.range(0)));

@@ -378,7 +378,11 @@ LayerResult AcceleratorSim::simulate_layer(
     // The network stamps phase-local cycles; shift its events past the DRAM
     // phase so the whole layer shares one timeline.
     obs::ScopedTimeBase noc_base(obs::time_base() + mem_off);
-    phase = run_noc_phase(scatter_flits, gather_flits, tag);
+    try {
+      phase = run_noc_phase(scatter_flits, gather_flits, tag);
+    } catch (const noc::DrainTimeoutError& e) {
+      throw noc::DrainTimeoutError("layer " + layer.name, e);
+    }
   }
   r.noc_obs = std::move(phase.observation);
   r.latency.comm_cycles = phase.cycles;

@@ -1,5 +1,6 @@
 #include "core/codec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -7,6 +8,7 @@
 #include "core/linefit.hpp"
 #include "util/bitio.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace nocw::core {
 
@@ -85,35 +87,47 @@ float quantize_coefficient(double value, unsigned bits) noexcept {
 
 namespace {
 
-/// The one Eq. 1 segmentation + line-fit loop behind compress() and
-/// compress_into(). Calls `sink(segment, first)` as each segment closes, in
-/// order, where `first` indexes the segment's first weight; `cfg.coef_bits`
-/// must already be clamped.
-template <class Sink>
-void fit_segments(std::span<const float> weights, double delta_abs,
-                  const CodecConfig& cfg, Sink&& sink) {
+SegmenterConfig segmenter_config(double delta_abs, const CodecConfig& cfg) {
   SegmenterConfig scfg;
   scfg.delta = delta_abs;
   scfg.max_length = max_segment_length(cfg.length_bits);
+  return scfg;
+}
 
-  StreamSegmenter seg(scfg);
+/// The one Eq. 1 segmentation + line-fit loop behind compress() and
+/// compress_into(). A fresh segment opens at weights[begin], and
+/// `sink(segment, first)` is called as each segment closes, in order, where
+/// `first` indexes the segment's first weight; `cfg.coef_bits` must already
+/// be clamped. The loop stops early when the sink returns false, and
+/// otherwise at `end`: the trailing open segment is flushed only when `end`
+/// is the end of `weights`. Returns the first weight of the segment still
+/// open when it stopped (weights.size() once flushed), i.e. the last
+/// segment boundary it reached.
+template <class Sink>
+std::size_t fit_segments(std::span<const float> weights, std::size_t begin,
+                         std::size_t end, double delta_abs,
+                         const CodecConfig& cfg, Sink&& sink) {
+  StreamSegmenter seg(segmenter_config(delta_abs, cfg));
   LineFitAccumulator acc;
-  std::size_t first = 0;
+  std::size_t first = begin;
   auto emit = [&]() {
     const LineFit fit = acc.fit();
     CompressedSegment s;
     s.m = quantize_coefficient(fit.m, cfg.coef_bits);
     s.q = quantize_coefficient(fit.q, cfg.coef_bits);
     s.length = static_cast<std::uint32_t>(acc.count());
-    sink(s, first);
+    const bool more = sink(s, first);
     first += s.length;
     acc.reset();
+    return more;
   };
-  for (float w : weights) {
-    if (seg.push(w) != 0) emit();
+  for (std::size_t i = begin; i < end; ++i) {
+    const float w = weights[i];
+    if (seg.push(w) != 0 && !emit()) return first;
     acc.add(static_cast<double>(w));
   }
-  if (seg.finish() != 0) emit();
+  if (end == weights.size() && seg.finish() != 0) emit();
+  return first;
 }
 
 /// Replay Eq. (2) for one segment in float — exactly what the hardware
@@ -144,6 +158,183 @@ CompressionStats begin_stats(std::span<const float> weights,
   return st;
 }
 
+// Weights per lane of the chunked compress(), and chunks per window: the
+// stitch and SSE replay of one window overlap the fits of the next, so lane
+// buffers hold about two windows of segments at any time. Constants, so the
+// work split never depends on the thread count (the output never depends
+// on either).
+constexpr std::size_t kCompressChunk = std::size_t{1} << 17;
+constexpr std::size_t kCompressWindow = 12;
+
+/// The segmentation a lane of the chunked compress() runs from the chunk
+/// start at or before each index: a fresh StreamSegmenter, restarted at
+/// every multiple of kCompressChunk from `from` (itself one) on.
+class ChunkProbe {
+ public:
+  ChunkProbe(std::span<const float> weights, std::size_t from,
+             const SegmenterConfig& scfg) noexcept
+      : weights_(weights), seg_(scfg), next_(from), boundary_(from) {}
+
+  /// True when the lane of the chunk holding `e` opens a segment at `e`.
+  /// Successive calls must pass nondecreasing e >= from.
+  bool opens_at(std::size_t e) noexcept {
+    for (; next_ <= e; ++next_) {
+      if (next_ % kCompressChunk == 0) {
+        seg_.finish();
+        seg_.push(weights_[next_]);
+        boundary_ = next_;
+      } else if (seg_.push(weights_[next_]) != 0) {
+        boundary_ = next_;
+      }
+    }
+    return boundary_ == e;
+  }
+
+ private:
+  std::span<const float> weights_;
+  StreamSegmenter seg_;
+  std::size_t next_;
+  std::size_t boundary_;
+};
+
+struct LaneStop {
+  std::size_t at = 0;  ///< last segment boundary reached
+  bool met = false;  ///< `at` is the end, or where the lane of its chunk opens
+};
+
+/// Segment and fit from `begin` — a chunk start, or a boundary of the serial
+/// segmentation — appending to `out`. Past the next chunk start the lane
+/// watches that chunk's own lane (a ChunkProbe) and stops at the first
+/// boundary both open, where the two segmentations agree from then on: a
+/// StreamSegmenter's state after a boundary is (prev = that weight,
+/// count = 1, both directions open), whatever came before. Stops unmet at
+/// `limit` when no shared boundary came first.
+LaneStop run_lane(std::span<const float> weights, std::size_t begin,
+                  std::size_t limit, double delta_abs, const CodecConfig& cfg,
+                  std::vector<CompressedSegment>& out) {
+  const std::size_t watch_from = (begin / kCompressChunk + 1) * kCompressChunk;
+  ChunkProbe probe(weights, watch_from, segmenter_config(delta_abs, cfg));
+  LaneStop stop;
+  stop.at = fit_segments(
+      weights, begin, limit, delta_abs, cfg,
+      [&](const CompressedSegment& s, std::size_t first) {
+        out.push_back(s);
+        const std::size_t e = first + s.length;
+        if (e < watch_from || e == weights.size() || !probe.opens_at(e)) {
+          return true;
+        }
+        stop.met = true;
+        return false;
+      });
+  stop.met = stop.met || stop.at == weights.size();
+  return stop;
+}
+
+/// Chunked compress(): chunks are segmented and fitted by run_lane on the
+/// pool, one window of kCompressWindow chunks per parallel_for, and stitched
+/// in order into the serial segmentation. Task 0 of each window stitches and
+/// replays the previous window, so the SSE keeps its serial element order.
+class ChunkedCompress {
+ public:
+  ChunkedCompress(std::span<const float> weights, CompressedLayer& layer)
+      : weights_(weights), layer_(layer) {}
+
+  void run(ThreadPool& pool) {
+    const std::size_t chunks =
+        (weights_.size() + kCompressChunk - 1) / kCompressChunk;
+    const std::size_t windows =
+        (chunks + kCompressWindow - 1) / kCompressWindow;
+    std::vector<Lane> lanes(2 * kCompressWindow);
+    for (std::size_t w = 0; w < windows; ++w) {
+      Lane* fitting = &lanes[(w % 2) * kCompressWindow];
+      Lane* stitching = &lanes[((w + 1) % 2) * kCompressWindow];
+      pool.parallel_for(
+          0, kCompressWindow + 1, 1,
+          [&](std::size_t first, std::size_t last, unsigned) {
+            for (std::size_t t = first; t < last; ++t) {
+              if (t == 0) {
+                if (w > 0) stitch(w - 1, stitching);
+                continue;
+              }
+              const std::size_t k = w * kCompressWindow + t - 1;
+              if (k < chunks) fit(k, fitting[t - 1]);
+            }
+          });
+      if (w == 0) reserve_like(lanes);
+    }
+    stitch(windows - 1, &lanes[((windows - 1) % 2) * kCompressWindow]);
+    layer_.sse = sse_;
+  }
+
+ private:
+  struct Lane {
+    std::vector<CompressedSegment> segments;  // reused across windows
+    LaneStop stop;
+  };
+
+  /// Size layer_.segments from the first window's segment density, plus an
+  /// eighth, so the stitcher's appends rarely reallocate: a serial
+  /// reallocation copies every segment kept so far, on the critical path.
+  void reserve_like(const std::vector<Lane>& first_window) {
+    std::size_t segments = 0;
+    std::size_t covered = 0;
+    for (std::size_t t = 0; t < kCompressWindow; ++t) {
+      segments += first_window[t].segments.size();
+      covered = std::max(covered, first_window[t].stop.at);
+    }
+    const double per_weight =
+        static_cast<double>(segments) /
+        static_cast<double>(std::max<std::size_t>(covered, 1));
+    layer_.segments.reserve(static_cast<std::size_t>(
+        per_weight * 1.125 * static_cast<double>(weights_.size())));
+  }
+
+  void fit(std::size_t k, Lane& lane) const {
+    lane.segments.clear();
+    lane.stop = run_lane(
+        weights_, k * kCompressChunk,
+        std::min(weights_.size(), (k + 2) * kCompressChunk),
+        layer_.delta_abs, layer_.config, lane.segments);
+  }
+
+  /// Append window `w`'s lanes from the serial boundary pos_ on, then replay
+  /// the new segments. A lane whose chunk an earlier lane's overrun (or a
+  /// fallback) already covered is skipped; an unmet lane ends in a serial
+  /// fallback from its last boundary, which a fresh segmenter continues
+  /// exactly, until it meets a later chunk's lane.
+  void stitch(std::size_t w, const Lane* lanes) {
+    for (std::size_t t = 0; t < kCompressWindow; ++t) {
+      const std::size_t k = w * kCompressWindow + t;
+      if (k != aligned_ || pos_ == weights_.size()) continue;
+      const Lane& lane = lanes[t];
+      std::size_t first = k * kCompressChunk;
+      auto it = lane.segments.begin();
+      while (first < pos_) first += (it++)->length;
+      layer_.segments.insert(layer_.segments.end(), it, lane.segments.end());
+      LaneStop stop = lane.stop;
+      if (!stop.met) {
+        stop = run_lane(weights_, stop.at, weights_.size(), layer_.delta_abs,
+                        layer_.config, layer_.segments);
+      }
+      pos_ = stop.at;
+      aligned_ = pos_ / kCompressChunk;
+    }
+    for (; replayed_ < layer_.segments.size(); ++replayed_) {
+      const CompressedSegment& s = layer_.segments[replayed_];
+      replay_segment<false>(s, weights_.data() + replay_pos_, sse_, nullptr);
+      replay_pos_ += s.length;
+    }
+  }
+
+  std::span<const float> weights_;
+  CompressedLayer& layer_;
+  std::size_t pos_ = 0;      // weights before pos_ are in layer_.segments
+  std::size_t aligned_ = 0;  // chunk whose lane opens a segment at pos_
+  std::size_t replayed_ = 0;
+  std::size_t replay_pos_ = 0;
+  double sse_ = 0.0;
+};
+
 }  // namespace
 
 CompressedLayer compress(std::span<const float> weights,
@@ -153,9 +344,17 @@ CompressedLayer compress(std::span<const float> weights,
   layer.config = st.config;
   layer.original_count = st.original_count;
   layer.delta_abs = st.delta_abs;
-  fit_segments(weights, st.delta_abs, st.config,
+  ThreadPool& pool = global_pool();
+  if (weights.size() > kCompressChunk && pool.size() > 1 &&
+      !ThreadPool::in_parallel_region()) {
+    ChunkedCompress(weights, layer).run(pool);
+    return layer;
+  }
+  // One lane, nested, or one chunk: the whole span is a single chunk.
+  fit_segments(weights, 0, weights.size(), st.delta_abs, st.config,
                [&](const CompressedSegment& s, std::size_t /*first*/) {
                  layer.segments.push_back(s);
+                 return true;
                });
   // Score in a second pass over the kept segments: scoring each segment as
   // it closes, as compress_into() does, measured up to 12% slower here at
@@ -178,11 +377,12 @@ CompressionStats compress_into(std::span<const float> weights,
   }
   CompressionStats st = begin_stats(weights, cfg, range);
   double sse = 0.0;
-  fit_segments(weights, st.delta_abs, st.config,
+  fit_segments(weights, 0, weights.size(), st.delta_abs, st.config,
                [&](const CompressedSegment& s, std::size_t first) {
                  ++st.segment_count;
                  replay_segment<true>(s, weights.data() + first, sse,
                                       out.data() + first);
+                 return true;
                });
   st.sse = sse;
   return st;

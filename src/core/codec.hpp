@@ -11,6 +11,10 @@
 // each segment is reconstructed and scored the moment it closes, while its
 // ≤ 256 weights are still in L1, and is then dropped. Both run the same
 // segmentation + fit loop and agree bit for bit (sizes, SSE and weights).
+// compress() of a layer longer than one chunk, called outside a parallel
+// region, runs that loop on every lane of the global pool, one chunk per
+// lane, and stitches the chunks into the serial segmentation (DESIGN.md
+// §18); its output is the same bit for bit at any thread count.
 //
 // Field widths are configurable so the storage-cost model can be explored
 // (an ablation the paper leaves implicit): coefficients may be rounded to a
@@ -134,8 +138,9 @@ struct CompressedLayer {
 };
 
 /// Compress `weights` with tolerance δ = cfg.delta_percent % of the range.
-/// One pass segments and fits; a replay pass over the segments records the
-/// exact Eq. 2 SSE.
+/// One pass segments and fits; a replay pass over the segments, in element
+/// order, records the exact Eq. 2 SSE. Both run on the global pool when the
+/// layer spans several chunks, with output independent of the thread count.
 CompressedLayer compress(std::span<const float> weights,
                          const CodecConfig& cfg);
 

@@ -51,6 +51,13 @@ bool is_weakly_monotonic(std::span<const float> values, double delta);
 /// Streaming segmenter: consumes one value at a time and emits segment
 /// lengths, never holding more than O(1) state. Used when compressing layers
 /// too large to keep two copies of in memory and by the hardware-style tests.
+///
+/// Restart property: right after a segment boundary the whole state is
+/// (prev = the weight that opened the segment, count = 1, both directions
+/// open), whatever came before it. So a fresh segmenter started at any index
+/// produces the same segments as one that ran from the start, from their
+/// first shared boundary on. core::compress() relies on this to segment
+/// chunks of a layer on separate lanes and stitch them bit for bit.
 class StreamSegmenter {
  public:
   explicit StreamSegmenter(const SegmenterConfig& config) noexcept

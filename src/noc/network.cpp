@@ -787,6 +787,11 @@ void Network::advance_idle(std::uint64_t target) {
   }
 }
 
+DrainTimeoutError::DrainTimeoutError(const std::string& context,
+                                     const DrainTimeoutError& inner)
+    : DrainTimeoutError(context + ": " + inner.what(), inner.max_cycles_,
+                        inner.tag_) {}
+
 void Network::throw_drain_timeout(std::uint64_t max_cycles) const {
   std::ostringstream msg;
   msg << "NoC did not drain within cycle budget (" << max_cycles
@@ -831,7 +836,7 @@ void Network::throw_drain_timeout(std::uint64_t max_cycles) const {
         msg << "; packet " << f.packet_id << " (src " << f.src << " -> dst "
             << f.dst << ", tag " << f.tag << ") stuck at router " << r.id()
             << " port " << port << " vc " << vc;
-        throw std::runtime_error(msg.str());
+        throw DrainTimeoutError(msg.str(), max_cycles, f.tag);
       }
     }
   }
@@ -842,17 +847,17 @@ void Network::throw_drain_timeout(std::uint64_t max_cycles) const {
           << " -> dst " << s.current.dst << ", tag " << s.current.tag
           << ") mid-injection at node " << node << " after " << s.sent
           << " flits";
-      throw std::runtime_error(msg.str());
+      throw DrainTimeoutError(msg.str(), max_cycles, s.current.tag);
     }
     if (!s.pending.empty()) {
       const PacketDescriptor& p = s.pending.top();
       msg << "; packet (src " << p.src << " -> dst " << p.dst << ", tag "
           << p.tag << ") queued at node " << node << " with release cycle "
           << p.release_cycle << ", attempt " << p.attempt;
-      throw std::runtime_error(msg.str());
+      throw DrainTimeoutError(msg.str(), max_cycles, p.tag);
     }
   }
-  throw std::runtime_error(msg.str());
+  throw DrainTimeoutError(msg.str(), max_cycles, 0);
 }
 
 std::uint64_t Network::run_until_drained(std::uint64_t max_cycles) {

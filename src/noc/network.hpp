@@ -24,6 +24,8 @@
 #include <memory>
 #include <queue>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -37,6 +39,29 @@
 #include "obs/trace.hpp"
 
 namespace nocw::noc {
+
+/// Thrown by Network::run_until_drained when flits are still undelivered
+/// after `max_cycles`: the message names the budget, the active fault
+/// configuration and one stuck packet, whose tag tag() carries (0 when no
+/// packet could be named).
+class DrainTimeoutError : public std::runtime_error {
+ public:
+  DrainTimeoutError(const std::string& what, std::uint64_t max_cycles,
+                    std::uint32_t tag)
+      : std::runtime_error(what), max_cycles_(max_cycles), tag_(tag) {}
+  /// `inner` with "`context`: " in front of its message.
+  DrainTimeoutError(const std::string& context,
+                    const DrainTimeoutError& inner);
+
+  [[nodiscard]] std::uint64_t max_cycles() const noexcept {
+    return max_cycles_;
+  }
+  [[nodiscard]] std::uint32_t tag() const noexcept { return tag_; }
+
+ private:
+  std::uint64_t max_cycles_;
+  std::uint32_t tag_;
+};
 
 class Network {
  public:
@@ -58,7 +83,7 @@ class Network {
   /// check_invariants()).
   [[nodiscard]] bool drained() const noexcept;
 
-  /// Step until drained; returns cycles executed. Throws std::runtime_error
+  /// Step until drained; returns cycles executed. Throws DrainTimeoutError
   /// naming an offending in-flight or queued packet (source/dest/tag) if
   /// max_cycles elapse first (deadlock guard).
   std::uint64_t run_until_drained(std::uint64_t max_cycles);

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace nocw {
 
@@ -101,15 +102,52 @@ double mean_squared_error(std::span<const float> a, std::span<const float> b) {
   return acc / static_cast<double>(a.size());
 }
 
+namespace {
+
+// Floats per value_range() chunk. A constant, so the split never depends on
+// the thread count.
+constexpr std::size_t kRangeChunk = std::size_t{1} << 16;
+
+struct MinMax {
+  float lo;
+  float hi;
+};
+
+MinMax fold_min_max(MinMax m, std::span<const float> x) {
+  for (float v : x) {
+    m.lo = std::min(m.lo, v);
+    m.hi = std::max(m.hi, v);
+  }
+  return m;
+}
+
+}  // namespace
+
 double value_range(std::span<const float> x) {
   if (x.empty()) return 0.0;
-  float lo = x[0];
-  float hi = x[0];
-  for (float v : x) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
+  // Every chunk folds from x[0], as the serial loop does, and the chunk
+  // results fold in order. std::min/max keep the earlier of two equal values
+  // and, from a non-NaN start, never take a NaN, so the result equals the
+  // serial fold's bit for bit: NaN when x[0] is NaN, and the same sign of
+  // zero on -0/+0 ties.
+  const MinMax seed{x[0], x[0]};
+  const std::size_t chunks = (x.size() + kRangeChunk - 1) / kRangeChunk;
+  std::vector<MinMax> parts(chunks, seed);
+  global_pool().parallel_for(
+      0, chunks, 1, [&](std::size_t first, std::size_t last, unsigned) {
+        for (std::size_t c = first; c < last; ++c) {
+          const std::size_t begin = c * kRangeChunk;
+          parts[c] = fold_min_max(
+              seed,
+              x.subspan(begin, std::min(kRangeChunk, x.size() - begin)));
+        }
+      });
+  MinMax m = seed;
+  for (const MinMax& p : parts) {
+    m.lo = std::min(m.lo, p.lo);
+    m.hi = std::max(m.hi, p.hi);
   }
-  return static_cast<double>(hi) - static_cast<double>(lo);
+  return static_cast<double>(m.hi) - static_cast<double>(m.lo);
 }
 
 double shannon_entropy_hist(std::span<const std::uint64_t> histogram) {

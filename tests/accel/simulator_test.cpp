@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "nn/models.hpp"
+#include "noc/network.hpp"
 
 namespace nocw::accel {
 namespace {
@@ -106,6 +109,25 @@ TEST(Simulator, WindowSamplingConsistentWithFullRun) {
   const LayerResult full = AcceleratorSim(full_cfg).simulate_layer(*fc);
   const LayerResult win = AcceleratorSim(win_cfg).simulate_layer(*fc);
   EXPECT_NEAR(win.latency.comm_cycles / full.latency.comm_cycles, 1.0, 0.15);
+}
+
+TEST(Simulator, DrainTimeoutNamesTheLayer) {
+  const ModelSummary s = summarize(nn::make_lenet5());
+  const LayerSummary* fc = s.find("dense_1");
+  ASSERT_NE(fc, nullptr);
+  AccelConfig cfg;
+  cfg.noc_window_flits = 1 << 30;  // full simulation
+  cfg.max_phase_cycles = 50;
+  try {
+    (void)AcceleratorSim(cfg).simulate_layer(*fc, nullptr, /*tag=*/7);
+    FAIL() << "expected a drain timeout";
+  } catch (const noc::DrainTimeoutError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("layer dense_1: "), std::string::npos) << msg;
+    EXPECT_NE(msg.find("cycle budget (50 cycles"), std::string::npos) << msg;
+    EXPECT_EQ(e.max_cycles(), 50u);
+    EXPECT_EQ(e.tag(), 7u);
+  }
 }
 
 TEST(Simulator, DeterministicAcrossRuns) {

@@ -2,16 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/linefit.hpp"
+#include "core/segment.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace nocw::core {
 namespace {
@@ -412,6 +417,171 @@ TEST_P(CodecDeltaSweep, CompressIntoMatchesCompressBitwise) {
 INSTANTIATE_TEST_SUITE_P(DeltaGrid, CodecDeltaSweep,
                          ::testing::Values(0.0, 1.0, 2.0, 4.0, 5.0, 6.0, 8.0,
                                            10.0, 15.0, 20.0, 30.0, 50.0));
+
+// compress() splits layers longer than one 2^17-weight chunk across the pool
+// in windows of 12 chunks and stitches the lanes into the serial
+// segmentation. These inputs span more than three windows.
+constexpr std::size_t kChunk = std::size_t{1} << 17;
+constexpr std::size_t kChunkedN = 3 * 12 * kChunk + 77'777;
+
+/// compress() rebuilt from the public pieces, serially: segment_weights,
+/// fit_line and quantize_coefficient per segment, and the SSE as a left
+/// fold over the Eq. 2 reconstruction. The reconstruction is decompress()'s
+/// float recurrence without its validation, so NaN inputs can be scored.
+CompressedLayer oracle_compress(std::span<const float> w,
+                                const CodecConfig& cfg) {
+  CompressedLayer layer;
+  layer.config = cfg;
+  layer.original_count = w.size();
+  float lo = w.empty() ? 0.0F : w[0];
+  float hi = lo;
+  for (float v : w) {
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  layer.delta_abs = delta_from_percent(
+      cfg.delta_percent, static_cast<double>(hi) - static_cast<double>(lo));
+  SegmenterConfig scfg;
+  scfg.delta = layer.delta_abs;
+  scfg.max_length = std::size_t{1} << cfg.length_bits;
+  for (const Segment& seg : segment_weights(w, scfg)) {
+    const LineFit fit = fit_line(w.subspan(seg.first, seg.length));
+    layer.segments.push_back(
+        CompressedSegment{quantize_coefficient(fit.m, cfg.coef_bits),
+                          quantize_coefficient(fit.q, cfg.coef_bits),
+                          static_cast<std::uint32_t>(seg.length)});
+  }
+  std::size_t i = 0;
+  for (const CompressedSegment& s : layer.segments) {
+    float r = s.q;
+    for (std::uint32_t j = 0; j < s.length; ++j, ++i) {
+      const double err = static_cast<double>(w[i]) - static_cast<double>(r);
+      layer.sse += err * err;
+      r += s.m;
+    }
+  }
+  return layer;
+}
+
+void expect_same_layer(const CompressedLayer& got,
+                       const CompressedLayer& want) {
+  ASSERT_EQ(got.segments.size(), want.segments.size());
+  EXPECT_EQ(std::memcmp(got.segments.data(), want.segments.data(),
+                        want.segments.size() * sizeof(CompressedSegment)),
+            0);
+  EXPECT_EQ(std::memcmp(&got.sse, &want.sse, sizeof(double)), 0)
+      << got.sse << " vs " << want.sse;
+  EXPECT_EQ(std::memcmp(&got.delta_abs, &want.delta_abs, sizeof(double)), 0);
+  EXPECT_EQ(got.original_count, want.original_count);
+  EXPECT_EQ(got.config.coef_bits, want.config.coef_bits);
+  EXPECT_EQ(got.config.length_bits, want.config.length_bits);
+  EXPECT_EQ(got.config.segment_checksum, want.config.segment_checksum);
+  EXPECT_EQ(got.compressed_bits(), want.compressed_bits());
+}
+
+struct ChunkedCase {
+  double delta_percent;
+  unsigned coef_bits;
+  unsigned length_bits;
+};
+
+class ChunkedCompress : public ::testing::TestWithParam<ChunkedCase> {
+ protected:
+  void SetUp() override { threads_ = global_thread_count(); }
+  void TearDown() override { set_global_threads(threads_); }
+
+  /// compress(w, cfg) under 1, 2 and 8 threads equals the oracle.
+  static void expect_matches_oracle(std::span<const float> w,
+                                    const CodecConfig& cfg) {
+    const CompressedLayer want = oracle_compress(w, cfg);
+    for (unsigned threads : {1U, 2U, 8U}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      set_global_threads(threads);
+      expect_same_layer(compress(w, cfg), want);
+    }
+  }
+
+  static CodecConfig config(double delta_percent, unsigned length_bits) {
+    CodecConfig cfg;
+    cfg.delta_percent = delta_percent;
+    cfg.length_bits = length_bits;
+    return cfg;
+  }
+
+ private:
+  unsigned threads_ = 1;
+};
+
+TEST_P(ChunkedCompress, MatchesSerialOracleBitwise) {
+  static const std::vector<float> w = gaussian_weights(kChunkedN, 61);
+  CodecConfig cfg = config(GetParam().delta_percent, GetParam().length_bits);
+  cfg.coef_bits = GetParam().coef_bits;
+  cfg.segment_checksum = true;
+  expect_matches_oracle(w, cfg);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, ChunkedCompress,
+    ::testing::Values(ChunkedCase{0, 32, 8}, ChunkedCase{0, 16, 2},
+                      ChunkedCase{0, 32, 20}, ChunkedCase{2, 16, 8},
+                      ChunkedCase{2, 32, 2}, ChunkedCase{2, 16, 20},
+                      ChunkedCase{8, 32, 8}, ChunkedCase{8, 16, 2},
+                      ChunkedCase{8, 32, 20}, ChunkedCase{20, 16, 8},
+                      ChunkedCase{20, 32, 2}, ChunkedCase{20, 16, 20}));
+
+// Fig. 5's worst case: a pairwise alternating run. At δ = 0 it splits into
+// pairs, so a lane that starts it at odd parity never meets the serial
+// boundaries inside the run; the run spans two chunks, so that lane gives up
+// and the stitcher continues serially. At δ = 20% the run is one capped
+// segment after another.
+TEST_F(ChunkedCompress, Fig5AlternatingRunAcrossChunks) {
+  std::vector<float> w = gaussian_weights(kChunkedN, 62);
+  for (std::size_t i = 5 * kChunk - 3; i < 7 * kChunk + 11; ++i) {
+    w[i] = (i % 2 == 0) ? 0.01F : -0.01F;
+  }
+  for (double delta : {0.0, 20.0}) {
+    SCOPED_TRACE("delta " + std::to_string(delta));
+    expect_matches_oracle(w, config(delta, 8));
+  }
+}
+
+// A rising ramp longer than the 256-weight cap, crossing a chunk start off
+// the cap's grid: the lane started there cuts the ramp at other places
+// than the serial pass until the ramp ends.
+TEST_F(ChunkedCompress, RampLongerThanCapAcrossChunkBoundary) {
+  std::vector<float> w = gaussian_weights(kChunkedN, 63);
+  const std::size_t begin = 9 * kChunk - 1000;
+  for (std::size_t i = begin; i < begin + 5000; ++i) {
+    w[i] = -0.2F + 1e-5F * static_cast<float>(i - begin);
+  }
+  for (double delta : {0.0, 8.0}) {
+    SCOPED_TRACE("delta " + std::to_string(delta));
+    expect_matches_oracle(w, config(delta, 8));
+  }
+}
+
+TEST_F(ChunkedCompress, NaNAtChunkStart) {
+  std::vector<float> w = gaussian_weights(kChunkedN, 64);
+  w[2 * kChunk] = std::numeric_limits<float>::quiet_NaN();
+  w[13 * kChunk] = std::numeric_limits<float>::quiet_NaN();
+  w[13 * kChunk + 1] = std::numeric_limits<float>::quiet_NaN();
+  expect_matches_oracle(w, config(2.0, 8));
+}
+
+// Constant weights with a cap longer than a chunk: no lane meets a shared
+// boundary within its overrun budget, so every boundary comes from the
+// stitcher's serial fallback. 2^18 is the shortest cap that forces it.
+TEST_F(ChunkedCompress, ForcedSerialFallbackOnConstantWeights) {
+  std::vector<float> w(kChunkedN, 0.25F);
+  for (unsigned length_bits : {18U, 20U}) {
+    SCOPED_TRACE("length_bits " + std::to_string(length_bits));
+    expect_matches_oracle(w, config(0.0, length_bits));
+  }
+  // A constant plateau inside noisy weights: lanes meet before and after it.
+  w = gaussian_weights(kChunkedN, 65);
+  std::fill(w.begin() + 20 * kChunk + 5, w.begin() + 23 * kChunk, 0.1F);
+  expect_matches_oracle(w, config(0.0, 18));
+}
 
 }  // namespace
 }  // namespace nocw::core

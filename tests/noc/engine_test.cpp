@@ -163,8 +163,10 @@ TEST(NocEngine, DrainTimeoutNamesOffendingPacket) {
     try {
       net.run_until_drained(3);
       FAIL() << "expected drain-timeout throw";
-    } catch (const std::runtime_error& e) {
+    } catch (const DrainTimeoutError& e) {
       const std::string msg = e.what();
+      EXPECT_EQ(e.max_cycles(), 3u);
+      EXPECT_EQ(e.tag(), 42u);
       EXPECT_NE(msg.find("cycle budget"), std::string::npos) << msg;
       EXPECT_NE(msg.find("src 0"), std::string::npos) << msg;
       EXPECT_NE(msg.find("dst 15"), std::string::npos) << msg;

@@ -5,10 +5,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace nocw {
 namespace {
@@ -259,6 +263,64 @@ TEST(ValueRange, Basics) {
   EXPECT_DOUBLE_EQ(value_range({}), 0.0);
   const std::vector<float> one{7.0F};
   EXPECT_DOUBLE_EQ(value_range(one), 0.0);
+}
+
+// value_range() folds 2^16-float chunks on the pool, each seeded with x[0],
+// and then the chunk results in order; it must equal this serial fold bit
+// for bit at every thread count.
+double serial_value_range(std::span<const float> x) {
+  float lo = x[0];
+  float hi = x[0];
+  for (float v : x) {
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  return static_cast<double>(hi) - static_cast<double>(lo);
+}
+
+TEST(ValueRange, ChunkedFoldMatchesSerialBitwise) {
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  Xoshiro256pp rng(91);
+  std::vector<float> noise(5 * kChunk + 123);
+  for (auto& v : noise) v = static_cast<float>(rng.normal(0.0, 1.0));
+
+  std::vector<std::pair<std::string, std::vector<float>>> cases;
+  cases.emplace_back("noise", noise);
+  auto nan_first = noise;
+  nan_first[0] = kNaN;
+  cases.emplace_back("NaN at x[0]", nan_first);
+  auto nan_chunk = noise;
+  nan_chunk[kChunk] = kNaN;
+  nan_chunk[3 * kChunk] = kNaN;
+  nan_chunk[3 * kChunk + 1] = kNaN;
+  cases.emplace_back("NaN at chunk starts", nan_chunk);
+  // Zeros of both signs, in different chunks, as the extremes or ties.
+  std::vector<float> zeros(noise.size(), 0.0F);
+  for (std::size_t i = 0; i < zeros.size(); i += 7) zeros[i] = -0.0F;
+  zeros[0] = -0.0F;
+  cases.emplace_back("-0/+0, x[0] = -0", zeros);
+  zeros[0] = 0.0F;
+  cases.emplace_back("-0/+0, x[0] = +0", zeros);
+  zeros[2 * kChunk + 5] = -1.0F;
+  cases.emplace_back("-0/+0 ties as the max", zeros);
+  for (auto& v : zeros) v = -v;
+  cases.emplace_back("-0/+0 ties as the min", zeros);
+
+  const unsigned restore = global_thread_count();
+  for (const auto& [name, x] : cases) {
+    const double want = serial_value_range(x);
+    for (unsigned threads : {1U, 2U, 8U}) {
+      set_global_threads(threads);
+      const double got = value_range(x);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << name << ", " << threads << " threads: " << got << " vs "
+          << want;
+    }
+  }
+  set_global_threads(restore);
+  EXPECT_TRUE(std::isnan(value_range(nan_first)));
+  EXPECT_EQ(value_range(nan_chunk), serial_value_range(noise));
 }
 
 TEST(Entropy, UniformBytesIsEight) {
