@@ -4,7 +4,7 @@
 // quantifies the fragility that compression adds (one flipped bit corrupts a
 // whole ⟨m, q, len⟩ segment) and prices the recovery hardware on the
 // cycle-accurate simulator. Deterministic for a fixed seed: the table, CSV
-// and BENCH_fault.json are bit-identical across runs and NOCW_THREADS.
+// and summary metrics are bit-identical across runs and NOCW_THREADS.
 #include "bench_util.hpp"
 
 #include "eval/fault_sweep.hpp"
@@ -54,53 +54,19 @@ int main(int, char** argv) {
   bench::emit("Extension: accuracy under faults, CRC+retransmission cost", t,
               dir, "ext_fault_sweep");
 
-  // Machine-readable mirror for CI artifacts. Deterministic fields only.
-  const std::string json_path =
-      env_string("NOCW_FAULT_JSON", "BENCH_fault.json");
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"selected_layer\": \"%s\",\n",
-               sweep.selected_layer.c_str());
-  std::fprintf(f, "  \"baseline_accuracy\": %.6f,\n",
-               sweep.baseline_accuracy);
-  std::fprintf(f, "  \"fault_seed\": %llu,\n",
-               static_cast<unsigned long long>(cfg.fault_seed));
-  std::fprintf(f, "  \"trials\": %d,\n", cfg.trials);
-  std::fprintf(f, "  \"points\": [\n");
-  for (std::size_t i = 0; i < sweep.points.size(); ++i) {
-    const auto& p = sweep.points[i];
-    std::fprintf(
-        f,
-        "    {\"ber\": %.1e, \"delta_percent\": %.1f,"
-        " \"accuracy_clean\": %.6f, \"accuracy_uncompressed\": %.6f,"
-        " \"accuracy_compressed\": %.6f, \"accuracy_protected\": %.6f,"
-        " \"corrupted_segment_fraction\": %.6f,"
-        " \"unprotected_cycles\": %.0f, \"protected_cycles\": %.0f,"
-        " \"unprotected_energy_j\": %.8e, \"protected_energy_j\": %.8e,"
-        " \"crc_failures\": %llu, \"retransmissions\": %llu,"
-        " \"packets_dropped\": %llu}%s\n",
-        p.bit_error_rate, p.delta_percent, p.accuracy_clean,
-        p.accuracy_uncompressed, p.accuracy_compressed, p.accuracy_protected,
-        p.corrupted_segment_fraction, p.unprotected_cycles.value(),
-        p.protected_cycles.value(), p.unprotected_energy_j.value(),
-        p.protected_energy_j.value(),
-        static_cast<unsigned long long>(p.crc_failures),
-        static_cast<unsigned long long>(p.retransmissions),
-        static_cast<unsigned long long>(p.packets_dropped),
-        i + 1 < sweep.points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  obs::log("fault-sweep results written to %s\n", json_path.c_str());
-
   std::map<std::string, double> metrics{
-      {"baseline_accuracy", sweep.baseline_accuracy}};
+      {"baseline_accuracy", sweep.baseline_accuracy},
+      {"fault_seed", static_cast<double>(cfg.fault_seed)},
+      {"trials", cfg.trials}};
   for (const auto& p : sweep.points) {
+    // Every point's absolute cost, which the table shows only as ratios.
+    const std::string point = "ber" + fmt_sci(p.bit_error_rate, 0) + ".d" +
+                              fmt_fixed(p.delta_percent, 0) + ".";
+    metrics[point + "unprotected_cycles"] = p.unprotected_cycles.value();
+    metrics[point + "protected_cycles"] = p.protected_cycles.value();
+    metrics[point + "unprotected_energy_j"] = p.unprotected_energy_j.value();
+    metrics[point + "protected_energy_j"] = p.protected_energy_j.value();
+    metrics[point + "crc_failures"] = static_cast<double>(p.crc_failures);
     // Headline rows: the worst BER at each δ.
     if (p.bit_error_rate == cfg.bit_error_rates.back()) {
       const std::string key = "d" + fmt_fixed(p.delta_percent, 0) + ".";
@@ -111,6 +77,10 @@ int main(int, char** argv) {
           static_cast<double>(p.retransmissions);
     }
   }
-  bench::write_summary(dir, "ext_fault_sweep", metrics, lenet.model.name);
+  obs::RunManifest manifest =
+      obs::make_manifest("ext_fault_sweep", lenet.model.name);
+  manifest.config["selected_layer"] = sweep.selected_layer;
+  manifest.metrics = metrics;
+  bench::write_summary(dir, manifest);
   return 0;
 }

@@ -9,7 +9,7 @@
 //      are bit-identical with the tracer on and off.
 // The enabled run's event stream is exported to results/trace_lenet5.json
 // (Chrome-trace JSON, drag into ui.perfetto.dev) and the measurements to
-// BENCH_trace.json for CI trending.
+// BENCH_summary.json for CI trending.
 #include "bench_util.hpp"
 
 #include <algorithm>
@@ -174,43 +174,13 @@ int main(int, char** argv) {
               "ext_trace_overhead");
   if (wrote) obs::log("trace written to %s\n", trace_path.c_str());
 
-  const std::string json_path =
-      env_string("NOCW_TRACE_JSON", "BENCH_trace.json");
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"model\": \"LeNet-5\",\n");
-    std::fprintf(f, "  \"reps\": %d,\n", reps);
-    std::fprintf(f, "  \"disabled_ms_median\": %.4f,\n", off_med_ms);
-    std::fprintf(f, "  \"enabled_ms\": %.4f,\n", on_ms);
-    std::fprintf(f, "  \"gate_check_ns\": %.4f,\n", gate_ns);
-    std::fprintf(f, "  \"gate_checks_per_inference\": %llu,\n",
-                 static_cast<unsigned long long>(checks));
-    std::fprintf(f, "  \"disabled_overhead_pct\": %.6f,\n",
-                 disabled_overhead_pct);
-    std::fprintf(f, "  \"disabled_overhead_under_1pct\": %s,\n",
-                 disabled_overhead_pct < 1.0 ? "true" : "false");
-    std::fprintf(f, "  \"bit_identical\": %s,\n",
-                 bit_identical ? "true" : "false");
-    std::fprintf(f, "  \"trace_events\": %llu,\n",
-                 static_cast<unsigned long long>(events));
-    std::fprintf(f, "  \"trace_events_dropped\": %llu,\n",
-                 static_cast<unsigned long long>(dropped));
-    std::fprintf(f, "  \"latency_total_cycles\": %.0f,\n",
-                 r_on.latency.total().value());
-    std::fprintf(f, "  \"energy_total_j\": %.9g\n",
-                 r_on.energy.total().value());
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    obs::log("trace-overhead results written to %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
-    return 1;
-  }
-
   bench::write_summary(
       dir, "ext_trace_overhead",
-      {{"disabled_ms_median", off_med_ms},
+      {{"reps", reps},
+       {"disabled_ms_median", off_med_ms},
        {"enabled_ms", on_ms},
+       {"gate_check_ns", gate_ns},
+       {"gate_checks_per_inference", static_cast<double>(checks)},
        {"disabled_overhead_pct", disabled_overhead_pct},
        {"bit_identical", bit_identical ? 1.0 : 0.0},
        {"trace_events", static_cast<double>(events)},

@@ -4,14 +4,12 @@
 // Not a paper figure — these guard the simulator's own performance.
 //
 // After the google-benchmark suite, main() runs a GEMM/conv thread-scaling
-// sweep (1, 2, 4, N threads) and writes machine-readable results to
-// BENCH_parallel.json (path override: NOCW_BENCH_JSON) so later PRs can
-// track the perf trajectory of the parallel kernels.
+// sweep (1, 2, 4, N threads) and records it in BENCH_summary.json, so the
+// perf trajectory of the parallel kernels can be tracked across runs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <string>
 #include <thread>
@@ -28,9 +26,7 @@
 #include "nn/tensor.hpp"
 #include "noc/network.hpp"
 #include "noc/traffic.hpp"
-#include "obs/log.hpp"
 #include "quant/affine.hpp"
-#include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -252,7 +248,7 @@ void BM_NocScatterStream(benchmark::State& state) {
 }
 BENCHMARK(BM_NocScatterStream);
 
-// --- thread-scaling sweep → BENCH_parallel.json ----------------------------
+// --- thread-scaling sweep → BENCH_summary.json -----------------------------
 
 struct ScalePoint {
   unsigned threads = 1;
@@ -280,29 +276,20 @@ std::vector<unsigned> scaling_thread_counts() {
   return counts;
 }
 
-void emit_results(std::FILE* f, const std::vector<ScalePoint>& pts,
-                  double flops) {
-  const double t1 = pts.front().seconds;
-  std::fprintf(f, "    \"results\": [\n");
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    std::fprintf(f,
-                 "      {\"threads\": %u, \"seconds\": %.6f, "
-                 "\"gflops\": %.3f, \"speedup\": %.3f}%s\n",
-                 pts[i].threads, pts[i].seconds,
-                 flops / pts[i].seconds * 1e-9, t1 / pts[i].seconds,
-                 i + 1 < pts.size() ? "," : "");
+// Per thread count: `<prefix>.t<n>.seconds`, `.gflops` and `.speedup`
+// (against the 1-thread time).
+void add_scaling(std::map<std::string, double>& metrics,
+                 const std::string& prefix,
+                 const std::vector<ScalePoint>& pts, double flops) {
+  for (const auto& p : pts) {
+    const std::string key = prefix + ".t" + std::to_string(p.threads) + ".";
+    metrics[key + "seconds"] = p.seconds;
+    metrics[key + "gflops"] = flops / p.seconds * 1e-9;
+    metrics[key + "speedup"] = pts.front().seconds / p.seconds;
   }
-  std::fprintf(f, "    ]\n");
 }
 
 void write_parallel_scaling_report(const std::string& dir) {
-  const std::string path =
-      env_string("NOCW_BENCH_JSON", "BENCH_parallel.json");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return;
-  }
   const std::vector<unsigned> counts = scaling_thread_counts();
 
   // GEMM: the acceptance-size 512x512x512 product.
@@ -344,35 +331,21 @@ void write_parallel_scaling_report(const std::string& dir) {
   }
   set_global_threads(1);
 
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"gemm\": {\n");
-  std::fprintf(f,
-               "    \"m\": %zu, \"k\": %zu, \"n\": %zu, \"flops\": %.0f,\n",
-               kN, kN, kN, gemm_flops);
-  emit_results(f, gemm_pts, gemm_flops);
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"conv\": {\n");
-  std::fprintf(f,
-               "    \"batch\": %d, \"height\": %d, \"width\": %d, "
-               "\"in_channels\": %d, \"out_channels\": %d, \"flops\": %.0f,\n",
-               kBatch, kHW, kHW, kCin, kCout, conv_flops);
-  emit_results(f, conv_pts, conv_flops);
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  obs::log("thread-scaling results written to %s\n", path.c_str());
-
   std::map<std::string, double> metrics{
+      {"hardware_concurrency",
+       static_cast<double>(std::thread::hardware_concurrency())},
+      {"gemm.m", kN},
+      {"gemm.k", kN},
+      {"gemm.n", kN},
       {"gemm.flops", gemm_flops},
+      {"conv.batch", kBatch},
+      {"conv.height", kHW},
+      {"conv.width", kHW},
+      {"conv.in_channels", kCin},
+      {"conv.out_channels", kCout},
       {"conv.flops", conv_flops}};
-  for (const auto& p : gemm_pts) {
-    metrics["gemm.t" + std::to_string(p.threads) + ".seconds"] = p.seconds;
-  }
-  for (const auto& p : conv_pts) {
-    metrics["conv.t" + std::to_string(p.threads) + ".seconds"] = p.seconds;
-  }
+  add_scaling(metrics, "gemm", gemm_pts, gemm_flops);
+  add_scaling(metrics, "conv", conv_pts, conv_flops);
   bench::write_summary(dir, "micro_kernels", metrics);
 }
 

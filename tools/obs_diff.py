@@ -10,7 +10,7 @@ Inputs are the JSON artifacts every bench writes through bench_util:
                        named by its "tool" field.
 
 Metrics are classified by name, because the repo's metric names are a
-closed, suffix-disciplined vocabulary (see tools/lint.py [metric] and
+closed, suffix-disciplined vocabulary (see tools/lint.py units.vocab and
 DESIGN.md §10):
 
   informational   wall-clock and throughput numbers that vary with the host
