@@ -10,9 +10,8 @@
 namespace nocw::noc {
 
 Network::Network(const NocConfig& cfg)
-    : cfg_(cfg), fault_(cfg.fault, cfg.node_count(), cfg.width),
+    : cfg_(cfg), lanes_(cfg), fault_(cfg.fault, cfg.node_count(), cfg.width),
       health_(cfg.node_count()) {
-  vcs_ = cfg_.virtual_channels > 0 ? cfg_.virtual_channels : 1;
   engine_ = engine_from_env(cfg_.engine);
   protect_ = cfg_.protection.crc;
   carry_payload_ = protect_ || fault_.enabled();
@@ -25,38 +24,12 @@ Network::Network(const NocConfig& cfg)
   NOCW_CHECK_GE(cfg_.protection.max_retries, 0);
   NOCW_CHECK_GE(cfg_.resilience.stall_threshold_cycles, std::uint64_t{1});
   NOCW_CHECK_GE(cfg_.resilience.retry_suspicion_threshold, 1);
-  routers_.reserve(static_cast<std::size_t>(cfg_.node_count()));
-  for (int id = 0; id < cfg_.node_count(); ++id) {
-    routers_.emplace_back(id, cfg_);
-  }
   sources_.resize(static_cast<std::size_t>(cfg_.node_count()));
-  const std::size_t lanes_total = static_cast<std::size_t>(cfg_.node_count()) *
-                                  kNumPorts * static_cast<std::size_t>(vcs_);
-  staged_count_.resize(lanes_total, 0);
+  const std::size_t lanes_total = lanes_.sizes().size();
   occ_.resize(lanes_total, 0);
   router_occ_.resize(static_cast<std::size_t>(cfg_.node_count()), 0);
   link_flits_.resize(
       static_cast<std::size_t>(cfg_.node_count()) * kNumPorts, 0);
-  neighbor_.assign(static_cast<std::size_t>(cfg_.node_count()) * kNumPorts,
-                   -1);
-  for (int id = 0; id < cfg_.node_count(); ++id) {
-    const int x = cfg_.node_x(id);
-    const int y = cfg_.node_y(id);
-    for (int out = 0; out < kNumPorts; ++out) {
-      if (out == kLocal) continue;
-      int nx = x, ny = y;
-      switch (out) {
-        case kNorth: ny = y - 1; break;
-        case kSouth: ny = y + 1; break;
-        case kEast: nx = x + 1; break;
-        case kWest: nx = x - 1; break;
-        default: break;
-      }
-      if (nx < 0 || nx >= cfg_.width || ny < 0 || ny >= cfg_.height) continue;
-      neighbor_[static_cast<std::size_t>(id) * kNumPorts +
-                static_cast<std::size_t>(out)] = cfg_.node_id(nx, ny);
-    }
-  }
   node_ejects_.resize(static_cast<std::size_t>(cfg_.node_count()), 0);
   trace_noc_ = NOCW_TRACE_ON(obs::kCatNoc);
   observe_ = trace_noc_;
@@ -66,16 +39,16 @@ Network::Network(const NocConfig& cfg)
   // invalidate those caches mid-run, so adaptive mode pins the reference
   // switch loop (PR 6's bit-identity gate makes both produce equal stats).
   fast_switch_ = engine_ == EngineMode::Event && !fault_.enabled() &&
-                 !trace_noc_ && !adaptive_ && kNumPorts * vcs_ <= 64;
+                 !trace_noc_ && !adaptive_ && lanes_.slots() <= 64;
   if (fast_switch_) {
     occ_mask_.assign(static_cast<std::size_t>(cfg_.node_count()), 0);
+    fresh_mask_.assign(static_cast<std::size_t>(cfg_.node_count()), 0);
     head_out_.assign(lanes_total, 0);
-    live_occ_.assign(lanes_total, 0);
   }
   if (adaptive_) {
     route_table_ =
         std::make_unique<RouteTable>(cfg_, cfg_.resilience.route_mode);
-    for (auto& r : routers_) r.set_route_table(route_table_.get());
+    lanes_.set_routes(cfg_, route_table_.get());
     if (escalate_) {
       link_streak_.assign(
           static_cast<std::size_t>(cfg_.node_count()) * kNumPorts, 0);
@@ -96,10 +69,13 @@ Network::Network(const NocConfig& cfg)
         if (health_.mark_router_down(rid)) ++stats_.routers_quarantined;
       }
       route_table_->rebuild(health_);
+      lanes_.set_routes(cfg_, route_table_.get());
       ++stats_.route_rebuilds;
     }
   }
 }
+
+Network::~Network() = default;
 
 void Network::add_packet(const PacketDescriptor& p) {
   if (p.src >= cfg_.node_count() || p.dst >= cfg_.node_count()) {
@@ -149,24 +125,24 @@ void Network::inject_phase() {
       s.active = true;
       ++active_sources_;
       s.sent = 0;
-      s.packet_id = next_packet_id_++;
       s.crc_accum = kCrcInit;
-      if (track_inflight_) inflight_.emplace(s.packet_id, s.current);
+      // Every flit of the packet carries the same header fields; only the
+      // type and payload vary per flit.
+      Flit& h = s.flit;
+      h.packet_id = next_packet_id_++;
+      h.src = s.current.src;
+      h.dst = s.current.dst;
+      h.vc = static_cast<std::uint8_t>(
+          h.packet_id % static_cast<std::uint32_t>(lanes_.vcs()));
+      h.inject_cycle = static_cast<std::uint32_t>(s.current.release_cycle);
+      h.tag = s.current.tag;
+      s.lane = lanes_.lane(node, kLocal, h.vc);
+      if (track_inflight_) inflight_.emplace(h.packet_id, s.current);
     }
-    const int vc = static_cast<int>(s.packet_id % static_cast<std::uint32_t>(vcs_));
-    auto& local =
-        routers_[static_cast<std::size_t>(node)].input_vc(kLocal, vc);
-    const std::size_t idx = stage_index(node, kLocal, vc);
-    if (local.free_slots() <= staged_count_[idx]) continue;
+    if (lanes_.full(s.lane)) continue;
 
     const auto size = static_cast<std::uint32_t>(flits_of(s.current));
-    Flit f;
-    f.packet_id = s.packet_id;
-    f.src = s.current.src;
-    f.dst = s.current.dst;
-    f.vc = static_cast<std::uint8_t>(vc);
-    f.inject_cycle = static_cast<std::uint32_t>(s.current.release_cycle);
-    f.tag = s.current.tag;
+    Flit f = s.flit;
     const bool first = (s.sent == 0);
     const bool last = (s.sent + 1 == size);
     f.type = first && last ? FlitType::HeadTail
@@ -179,13 +155,12 @@ void Network::inject_phase() {
         f.payload = s.crc_accum;
         ++stats_.crc_flits_injected;
       } else {
-        f.payload = synth_payload(s.packet_id, s.sent);
+        f.payload = synth_payload(f.packet_id, s.sent);
         if (protect_) s.crc_accum = crc32_word(s.crc_accum, f.payload);
       }
       if (protect_) ++stats_.crc_flit_events;  // CRC generator work
     }
-    staged_.push_back(StagedMove{node, kLocal, f});
-    ++staged_count_[idx];
+    land(s.lane, node, f);
     ++s.sent;
     --s.queued_flits;
     --queued_total_;
@@ -318,87 +293,97 @@ void Network::suspect_path(const PacketDescriptor& d) {
                 cfg_.resilience.retry_suspicion_threshold)) {
       pending_down_links_.push_back(static_cast<int>(link));
     }
-    const int next = neighbor_[link];
+    const int next = lanes_.neighbor(node, port);
     if (next < 0) break;
     node = next;
   }
 }
 
 void Network::snapshot_occupancy() {
-  if (fast_switch_) {
-    // Sizes are maintained incrementally on every push/pop; freezing the
-    // cycle-boundary view is a single copy. The per-router skip reads the
-    // live occupancy mask instead of router_occ_ (equivalent here: pushes
-    // land at end-of-cycle, so at switch time both reflect the boundary).
-    std::copy(live_occ_.begin(), live_occ_.end(), occ_.begin());
-    return;
-  }
-  for (int rid = 0; rid < cfg_.node_count(); ++rid) {
-    const auto& r = routers_[static_cast<std::size_t>(rid)];
+  // The lane sizes are the occupancy state: freezing the cycle-boundary
+  // view is one copy. The fast path's per-router skip reads its live
+  // occupancy mask instead of router_occ_ (equivalent there: a router
+  // holding only this cycle's arrivals is visited but has no candidate).
+  const auto sizes = lanes_.sizes();
+  std::copy(sizes.begin(), sizes.end(), occ_.begin());
+  if (fast_switch_) return;
+  const auto slots = static_cast<std::size_t>(lanes_.slots());
+  for (std::size_t rid = 0; rid < router_occ_.size(); ++rid) {
     std::uint32_t total = 0;
-    for (int port = 0; port < kNumPorts; ++port) {
-      for (int vc = 0; vc < vcs_; ++vc) {
-        const auto sz =
-            static_cast<std::uint16_t>(r.input_vc(port, vc).size());
-        occ_[stage_index(rid, port, vc)] = sz;
-        total += sz;
-      }
+    for (std::size_t i = rid * slots; i < (rid + 1) * slots; ++i) {
+      total += occ_[i];
     }
-    router_occ_[static_cast<std::size_t>(rid)] = total;
+    router_occ_[rid] = total;
   }
 }
 
-void Network::switch_router_fast(int rid) {
-  auto& r = routers_[static_cast<std::size_t>(rid)];
-  const std::size_t base = stage_index(rid, 0, 0);
-  // Per output port, a bitmask of flattened input slots whose head flit
-  // routes there, assembled from the incrementally-maintained occupancy
-  // mask and cached head routes. The per-output round-robin scan then
-  // walks set bits instead of re-reading every FIFO — state only changes
-  // through grants, and each grant refreshes the one slot it popped, so
-  // the masks stay exact for the outputs still to come.
+void Network::land(std::size_t lane, int router, const Flit& f) {
+  if (fast_switch_ && lanes_.empty(lane)) {
+    // The flit becomes its lane's head, but moves no further this cycle:
+    // record its occupancy bit, its fresh bit and its cached route.
+    const std::uint64_t bit = std::uint64_t{1}
+                              << (lane - lanes_.lane(router, 0));
+    occ_mask_[static_cast<std::size_t>(router)] |= bit;
+    fresh_mask_[static_cast<std::size_t>(router)] |= bit;
+    head_out_[lane] = static_cast<std::uint8_t>(lanes_.route(router, f.dst));
+  }
+  lanes_.arrive(lane, f);
+  ++ctx_.buffer_writes;
+}
+
+inline void Network::switch_router_fast(int rid) {
+  const std::size_t base = lanes_.lane(rid, 0);
+  // Per output port, a bitmask of the router's slots whose head flit was
+  // buffered at the cycle boundary and routes there, assembled from the
+  // incrementally-maintained occupancy masks and cached head routes; `outs`
+  // marks the outputs with any candidate. The per-output round-robin scan
+  // then walks set bits instead of re-reading every lane — state only
+  // changes through grants, and each grant refreshes the one slot it
+  // popped, so the masks stay exact for the outputs still to come.
   std::uint64_t cand[kNumPorts] = {};
-  for (std::uint64_t occ = occ_mask_[static_cast<std::size_t>(rid)];
+  unsigned outs = 0;
+  for (std::uint64_t occ = occ_mask_[static_cast<std::size_t>(rid)] &
+                           ~fresh_mask_[static_cast<std::size_t>(rid)];
        occ != 0; occ &= occ - 1) {
     const int slot = std::countr_zero(occ);
-    cand[head_out_[base + static_cast<std::size_t>(slot)]] |=
-        std::uint64_t{1} << slot;
+    const int out = head_out_[base + static_cast<std::size_t>(slot)];
+    cand[out] |= std::uint64_t{1} << slot;
+    outs |= 1u << out;
   }
-  const auto depth = static_cast<std::size_t>(cfg_.buffer_depth);
-  for (int out = 0; out < kNumPorts; ++out) {
+  const std::size_t depth = lanes_.depth();
+  for (; outs != 0; outs &= outs - 1) {
+    const int out = std::countr_zero(outs);
     std::uint64_t m = cand[out];
-    if (m == 0) continue;
-    const int nid = neighbor_[static_cast<std::size_t>(rid) * kNumPorts +
-                              static_cast<std::size_t>(out)];
-    const int nport = out == kLocal ? -1 : opposite(out);
-    const int start = r.rr_pointer(out);
+    const std::int32_t down = lanes_.downstream(rid, out);
+    const int start = lanes_.rr_pointer(rid, out);
     while (m != 0) {
       // Round-robin pick: lowest set bit at/after `start`, wrapping. A
       // veto (wormhole lock, downstream capacity) clears the bit and the
       // scan resumes in the same order — exactly allocate_with's walk.
       const std::uint64_t ahead = m & (~std::uint64_t{0} << start);
       const int slot = std::countr_zero(ahead != 0 ? ahead : m);
-      const Flit& f = r.input_flat(slot).front();
+      const std::size_t lane = base + static_cast<std::size_t>(slot);
+      const Flit& f = lanes_.front(lane);
       const bool is_head =
           f.type == FlitType::Head || f.type == FlitType::HeadTail;
-      const int owner = r.lock_owner(out, static_cast<int>(f.vc));
+      const int owner = lanes_.lock_owner(rid, out, static_cast<int>(f.vc));
       bool ok = is_head ? owner == -1 : owner == slot;
       std::size_t idx = 0;
       if (ok && out != kLocal) {
-        idx = stage_index(nid, nport, static_cast<int>(f.vc));
-        ok = depth >
-             static_cast<std::size_t>(occ_[idx]) + staged_count_[idx];
+        idx = static_cast<std::size_t>(down) + f.vc;
+        ok = depth > occ_[idx] + lanes_.arrived(idx);
       }
       if (!ok) {
         m &= ~(std::uint64_t{1} << slot);
         continue;
       }
-      const Flit g = r.grant(slot, out);
+      const Flit g = lanes_.grant(rid, slot, out);
       if (out == kLocal) {
-        ctx_.ejects.emplace_back(rid, g);
+        // Routers switch in id order and ejection touches nothing the
+        // switch reads, so this is commit_switch's order.
+        eject_flit(g, rid);
       } else {
-        ++staged_count_[idx];
-        staged_.push_back(StagedMove{nid, nport, g});
+        land(idx, lanes_.neighbor(rid, out), g);
         ++ctx_.buffer_reads;
         ++ctx_.router_traversals;
         ++ctx_.link_traversals;
@@ -406,19 +391,22 @@ void Network::switch_router_fast(int rid) {
                       static_cast<std::size_t>(out)];
       }
       // The pop may expose a new head; refresh the slot's cached route and
-      // its candidacy for the remaining outputs (at most one grant per
-      // output per cycle).
+      // its candidacy for the outputs still to come (at most one grant per
+      // output per cycle). A head that arrived this cycle waits for the
+      // next one.
       const std::uint64_t bit = std::uint64_t{1} << slot;
       cand[out] &= ~bit;
-      --live_occ_[base + static_cast<std::size_t>(slot)];
-      const auto& buf = r.input_flat(slot);
-      if (buf.empty()) {
+      if (lanes_.empty(lane)) {
         occ_mask_[static_cast<std::size_t>(rid)] &= ~bit;
       } else {
-        const auto nout =
-            static_cast<std::uint8_t>(r.route(buf.front().dst));
-        head_out_[base + static_cast<std::size_t>(slot)] = nout;
-        cand[nout] |= bit;
+        const int nout = lanes_.route(rid, lanes_.front(lane).dst);
+        head_out_[lane] = static_cast<std::uint8_t>(nout);
+        if (lanes_.ready(lane)) {
+          cand[nout] |= bit;
+          outs |= (1u << nout) & ~((2u << out) - 1);
+        } else {
+          fresh_mask_[static_cast<std::size_t>(rid)] |= bit;
+        }
       }
       break;
     }
@@ -428,15 +416,15 @@ void Network::switch_router_fast(int rid) {
 void Network::switch_phase() {
   const int n = cfg_.node_count();
   const bool faulty = fault_.enabled();
-  const auto depth = static_cast<std::size_t>(cfg_.buffer_depth);
+  const std::size_t depth = lanes_.depth();
   if (fast_switch_) {
-    // Occupancy-free routers cannot allocate anything; skipping them is
-    // observationally identical (faults are off on this path — their
-    // counters would tick per router per cycle regardless of traffic).
+    // Routers holding no flit from before this cycle cannot allocate
+    // anything; skipping them is observationally identical (faults are off
+    // on this path — their counters would tick per router per cycle
+    // regardless of traffic).
     for (int rid = 0; rid < n; ++rid) {
-      if (occ_mask_[static_cast<std::size_t>(rid)] != 0) {
-        switch_router_fast(rid);
-      }
+      const auto r = static_cast<std::size_t>(rid);
+      if ((occ_mask_[r] & ~fresh_mask_[r]) != 0) switch_router_fast(rid);
     }
     return;
   }
@@ -447,7 +435,6 @@ void Network::switch_phase() {
     if (skip_empty && router_occ_[static_cast<std::size_t>(rid)] == 0) {
       continue;
     }
-    auto& r = routers_[static_cast<std::size_t>(rid)];
     if (faulty && fault_.router_stalled(stats_.cycles.value(), rid)) {
       ++ctx_.stall_cycles;
       // Stall watchdog: consecutive stalled-while-occupied cycles.
@@ -466,73 +453,53 @@ void Network::switch_phase() {
         // Ejection: the NI always sinks one flit per cycle per port. The
         // pop happens here (router-local); the stats/CRC/hook side of the
         // ejection is committed later in router-id order.
-        const auto in = r.allocate_with(out, [](const Flit&) { return true; });
+        const auto in =
+            lanes_.allocate_with(rid, out, [](const Flit&) { return true; });
         if (!in) continue;
-        ctx_.ejects.emplace_back(rid, r.grant(*in, out));
+        ctx_.ejects.emplace_back(rid, lanes_.grant(rid, *in, out));
         continue;
       }
+      const std::size_t link = static_cast<std::size_t>(rid) * kNumPorts +
+                               static_cast<std::size_t>(out);
+      const std::int32_t down = lanes_.downstream(rid, out);
       if (faulty && fault_.link_down(stats_.cycles.value(), rid, out)) {
         ++ctx_.link_fault_cycles;
-        if (escalate_ && health_.link_up(rid, out) &&
-            neighbor_[static_cast<std::size_t>(rid) * kNumPorts +
-                      static_cast<std::size_t>(out)] >= 0 &&
+        if (escalate_ && health_.link_up(rid, out) && down >= 0 &&
             router_occ_[static_cast<std::size_t>(rid)] > 0 &&
-            ++link_streak_[static_cast<std::size_t>(rid) * kNumPorts +
-                           static_cast<std::size_t>(out)] ==
+            ++link_streak_[link] ==
                 static_cast<std::uint32_t>(
                     cfg_.resilience.stall_threshold_cycles)) {
-          pending_down_links_.push_back(rid * kNumPorts + out);
+          pending_down_links_.push_back(static_cast<int>(link));
         }
         continue;  // transient outage: flits stay buffered and retry
       }
-      if (escalate_) {
-        link_streak_[static_cast<std::size_t>(rid) * kNumPorts +
-                     static_cast<std::size_t>(out)] = 0;
+      if (escalate_) link_streak_[link] = 0;
+      if (down < 0) {
+        continue;  // edge router: this output has no link (and no route
+                   // ever points a flit toward it)
       }
-      // Neighbour router and its receiving port.
-      const int x = cfg_.node_x(rid);
-      const int y = cfg_.node_y(rid);
-      int nx = x, ny = y;
-      switch (out) {
-        case kNorth: ny = y - 1; break;
-        case kSouth: ny = y + 1; break;
-        case kEast: nx = x + 1; break;
-        case kWest: nx = x - 1; break;
-        default: break;
-      }
-      if (nx < 0 || nx >= cfg_.width || ny < 0 || ny >= cfg_.height) {
-        continue;  // edge router: this output has no link (and DOR never
-                   // routes a flit toward it)
-      }
-      const int nid = cfg_.node_id(nx, ny);
-      const int nport = opposite(out);
-      // Allocation only considers candidates whose downstream (port, VC)
-      // FIFO can take a flit this cycle, so a back-pressured VC never
-      // stalls the output for traffic on other VCs. Capacity is judged
-      // against the cycle-boundary snapshot plus flits staged toward the
-      // FIFO this cycle — credits return at cycle edges, so the decision
-      // is independent of router visit order.
-      const auto in = r.allocate_with(out, [&](const Flit& f) {
-        const std::size_t idx =
-            stage_index(nid, nport, static_cast<int>(f.vc));
-        return depth > static_cast<std::size_t>(occ_[idx]) +
-                           staged_count_[idx];
+      // Allocation only considers candidates whose downstream lane can take
+      // a flit this cycle, so a back-pressured VC never stalls the output
+      // for traffic on other VCs. Capacity is judged against the
+      // cycle-boundary snapshot plus flits that arrived in the lane this
+      // cycle — credits return at cycle edges, so the decision is
+      // independent of router visit order.
+      const auto in = lanes_.allocate_with(rid, out, [&](const Flit& f) {
+        const std::size_t idx = static_cast<std::size_t>(down) + f.vc;
+        return depth > occ_[idx] + lanes_.arrived(idx);
       });
       if (!in) continue;
-      Flit f = r.grant(*in, out);
+      Flit f = lanes_.grant(rid, *in, out);
       if (faulty) {
         ctx_.bit_flips += static_cast<std::uint64_t>(
             fault_.corrupt_payload(f.payload, stats_.cycles.value(), rid, out));
       }
-      const std::size_t idx =
-          stage_index(nid, nport, static_cast<int>(f.vc));
-      ++staged_count_[idx];
-      staged_.push_back(StagedMove{nid, nport, f});
+      const std::size_t idx = static_cast<std::size_t>(down) + f.vc;
+      land(idx, lanes_.neighbor(rid, out), f);
       ++ctx_.buffer_reads;
       ++ctx_.router_traversals;
       ++ctx_.link_traversals;
-      ++link_flits_[static_cast<std::size_t>(rid) * kNumPorts +
-                    static_cast<std::size_t>(out)];
+      ++link_flits_[link];
       if (trace_noc_ && hop_seq_++ % trace_sample_ == 0) {
         obs::Tracer::global().record_instant(
             obs::kCatNoc, "hop", obs::kPidNoc,
@@ -557,35 +524,17 @@ void Network::commit_switch() {
 }
 
 void Network::step_cycle() {
-  staged_.clear();
   ctx_.clear();
-  std::fill(staged_count_.begin(), staged_count_.end(),
-            static_cast<std::uint8_t>(0));
   snapshot_occupancy();
   switch_phase();
   commit_switch();
   inject_phase();
-  // Deliver this cycle's moves. Each (node, port, VC) FIFO receives at most
-  // one flit per cycle — one upstream link per input port plus local-only
-  // injection — so push order across buffers is immaterial.
-  for (const StagedMove& m : staged_) {
-    auto& r = routers_[static_cast<std::size_t>(m.router)];
-    auto& buf = r.input_vc(m.port, static_cast<int>(m.flit.vc));
-    if (fast_switch_) {
-      const std::size_t slot = r.flat(m.port, static_cast<int>(m.flit.vc));
-      const std::size_t idx = stage_index(m.router, 0, 0) + slot;
-      ++live_occ_[idx];
-      if (buf.empty()) {
-        // Push-to-empty makes this flit the slot's head: record its
-        // occupancy bit and cached route for the switch fast path.
-        occ_mask_[static_cast<std::size_t>(m.router)] |= std::uint64_t{1}
-                                                         << slot;
-        head_out_[idx] = static_cast<std::uint8_t>(r.route(m.flit.dst));
-      }
-    }
-    buf.push(m.flit);
-    ++stats_.buffer_writes;
-  }
+  // Cycle edge: this cycle's arrivals settle into their lanes and may move
+  // next cycle. Each lane receives at most one flit per cycle — one
+  // upstream link per input port plus local-only injection.
+  stats_.buffer_writes += ctx_.buffer_writes;
+  lanes_.settle();
+  std::fill(fresh_mask_.begin(), fresh_mask_.end(), std::uint64_t{0});
   if (escalate_) process_escalations();
   ++stats_.cycles;
   if (observe_ && stats_.cycles.value() % kQueueSampleInterval == 0) {
@@ -629,6 +578,7 @@ void Network::process_escalations() {
       units::Cycles{cfg_.resilience.stall_threshold_cycles * newly_marked};
   quarantine_flush();
   route_table_->rebuild(health_);
+  lanes_.set_routes(cfg_, route_table_.get());
   ++stats_.route_rebuilds;
 }
 
@@ -637,11 +587,7 @@ void Network::quarantine_flush() {
   // follow their head's path), so the recovery story is restart-from-
   // source: drop everything buffered, cancel mid-injection sources, and
   // requeue every affected packet from its original descriptor.
-  std::uint64_t flushed = 0;
-  for (auto& r : routers_) {
-    flushed += static_cast<std::uint64_t>(r.flush_buffers());
-  }
-  stats_.flits_flushed += units::Flits{flushed};
+  stats_.flits_flushed += units::Flits{lanes_.flush()};
   for (auto& s : sources_) {
     if (!s.active) continue;
     const std::uint64_t remaining =
@@ -674,9 +620,10 @@ void Network::requeue_or_drop(PacketDescriptor d) {
 }
 
 void Network::sample_queue_depths() {
-  if (queue_samples_.size() + routers_.size() > kMaxObservationSamples) return;
-  for (const auto& r : routers_) {
-    queue_samples_.push_back(static_cast<double>(r.buffered_flits()));
+  const auto routers = static_cast<std::size_t>(lanes_.routers());
+  if (queue_samples_.size() + routers > kMaxObservationSamples) return;
+  for (int rid = 0; rid < lanes_.routers(); ++rid) {
+    queue_samples_.push_back(static_cast<double>(lanes_.buffered(rid)));
   }
 }
 
@@ -704,10 +651,8 @@ void Network::sample_series() {
   series_->append("noc.link_flits", "flits", t,
                   static_cast<double>(stats_.link_traversals -
                                       series_prev_links_));
-  std::uint64_t buffered = 0;
-  for (const auto& r : routers_) buffered += r.buffered_flits();
   series_->append("noc.queue_depth", "flits", t,
-                  static_cast<double>(buffered));
+                  static_cast<double>(buffered_flits()));
   if (adaptive_) {
     // Recovery visibility: reroute bursts mark the quarantine events on the
     // same timeline as the throughput dip they explain. Gated on adaptive_
@@ -731,11 +676,16 @@ bool Network::drained() const noexcept {
          stats_.flits_injected == stats_.flits_ejected + stats_.flits_flushed;
 }
 
+std::uint64_t Network::buffered_flits() const noexcept {
+  std::uint64_t n = 0;
+  for (const std::uint8_t v : lanes_.sizes()) n += v;
+  return n;
+}
+
 std::uint64_t Network::undelivered_flits() const noexcept {
   std::uint64_t n = 0;
   for (const auto& s : sources_) n += s.queued_flits;
-  for (const auto& r : routers_) n += r.buffered_flits();
-  return n;
+  return n + buffered_flits();
 }
 
 bool Network::idle_now() const noexcept {
@@ -827,23 +777,21 @@ void Network::throw_drain_timeout(std::uint64_t max_cycles) const {
   }
   // Name one offender: prefer a flit stuck in some router FIFO, else a
   // packet still queued at (or mid-injection into) a source.
-  for (const auto& r : routers_) {
-    for (int port = 0; port < kNumPorts; ++port) {
-      for (int vc = 0; vc < vcs_; ++vc) {
-        const auto& buf = r.input_vc(port, vc);
-        if (buf.empty()) continue;
-        const Flit& f = buf.front();
-        msg << "; packet " << f.packet_id << " (src " << f.src << " -> dst "
-            << f.dst << ", tag " << f.tag << ") stuck at router " << r.id()
-            << " port " << port << " vc " << vc;
-        throw DrainTimeoutError(msg.str(), max_cycles, f.tag);
-      }
-    }
+  for (std::size_t lane = 0; lane < lanes_.sizes().size(); ++lane) {
+    if (lanes_.empty(lane)) continue;
+    const Flit& f = lanes_.front(lane);
+    const auto slot = static_cast<int>(lane % static_cast<std::size_t>(
+                                                  lanes_.slots()));
+    msg << "; packet " << f.packet_id << " (src " << f.src << " -> dst "
+        << f.dst << ", tag " << f.tag << ") stuck at router "
+        << lane / static_cast<std::size_t>(lanes_.slots()) << " port "
+        << slot / lanes_.vcs() << " vc " << slot % lanes_.vcs();
+    throw DrainTimeoutError(msg.str(), max_cycles, f.tag);
   }
   for (std::size_t node = 0; node < sources_.size(); ++node) {
     const auto& s = sources_[node];
     if (s.active) {
-      msg << "; packet " << s.packet_id << " (src " << s.current.src
+      msg << "; packet " << s.flit.packet_id << " (src " << s.current.src
           << " -> dst " << s.current.dst << ", tag " << s.current.tag
           << ") mid-injection at node " << node << " after " << s.sent
           << " flits";
@@ -910,11 +858,8 @@ void Network::run_cycles(std::uint64_t n) {
 }
 
 void Network::check_invariants() const {
-  std::uint64_t buffered = 0;
-  for (const auto& r : routers_) {
-    r.check_invariants();
-    buffered += r.buffered_flits();
-  }
+  lanes_.check_invariants();
+  const std::uint64_t buffered = buffered_flits();
   // Flit conservation: every injected flit is either ejected, still sitting
   // in some router FIFO, or was flushed by a quarantine. Queued flits at
   // the sources are not yet injected.
@@ -943,31 +888,23 @@ void Network::check_invariants() const {
   NOCW_CHECK_EQ(static_cast<std::uint64_t>(active),
                 static_cast<std::uint64_t>(active_sources_));
   // The fast path's incremental occupancy masks and cached head routes
-  // must mirror the FIFOs exactly, or switch allocation would silently
+  // must mirror the lanes exactly, or switch allocation would silently
   // diverge from the reference loop.
   if (fast_switch_) {
-    for (std::size_t rid = 0; rid < routers_.size(); ++rid) {
-      const auto& r = routers_[rid];
-      const int total = kNumPorts * vcs_;
-      for (int slot = 0; slot < total; ++slot) {
-        const auto& buf = r.input_flat(slot);
-        const bool bit =
-            (occ_mask_[rid] >> slot & std::uint64_t{1}) != 0;
+    for (int rid = 0; rid < lanes_.routers(); ++rid) {
+      for (int slot = 0; slot < lanes_.slots(); ++slot) {
+        const std::size_t lane = lanes_.lane(rid, slot);
+        const bool bit = (occ_mask_[static_cast<std::size_t>(rid)] >> slot &
+                          std::uint64_t{1}) != 0;
         NOCW_CHECK_EQ(static_cast<int>(bit),
-                      static_cast<int>(!buf.empty()));
-        NOCW_CHECK_EQ(
-            static_cast<std::size_t>(live_occ_[stage_index(
-                static_cast<int>(rid), 0, 0) + static_cast<std::size_t>(
-                slot)]),
-            buf.size());
-        if (!buf.empty()) {
-          NOCW_CHECK_EQ(
-              static_cast<int>(head_out_[stage_index(
-                  static_cast<int>(rid), 0, 0) + static_cast<std::size_t>(
-                  slot)]),
-              r.route(buf.front().dst));
+                      static_cast<int>(!lanes_.empty(lane)));
+        if (bit) {
+          NOCW_CHECK_EQ(static_cast<int>(head_out_[lane]),
+                        lanes_.route(rid, lanes_.front(lane).dst));
         }
       }
+      NOCW_CHECK_EQ(fresh_mask_[static_cast<std::size_t>(rid)],
+                    std::uint64_t{0});
     }
   }
   // The observability arrays are decompositions of the canonical counters:

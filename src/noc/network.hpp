@@ -1,13 +1,16 @@
 // Cycle engine for the mesh: routers + NIs + traffic sources.
 //
 // One step_cycle() is one clock cycle. All switch decisions in a cycle observe
-// the state at the cycle boundary and moves are committed together, so a flit
-// advances at most one hop per cycle and arbitration is order-independent.
-// Downstream capacity is judged against a cycle-boundary occupancy snapshot
+// the state at the cycle boundary: a granted flit is written straight into
+// its downstream lane, but counts as arrived (LaneStore::arrive) and cannot
+// move again until the cycle edge, so a flit advances at most one hop per
+// cycle and arbitration is order-independent. Downstream capacity is judged
+// against a cycle-boundary occupancy snapshot plus this cycle's arrivals
 // (credits updated at cycle edges, i.e. one cycle of credit-return latency),
 // which makes the switch core independent of router visit order — the
-// property the event engine's empty-router skip relies on. The core is
-// serial by design; NoC parallelism lives at sweep level (DESIGN.md §11).
+// property the event engine's empty-router skip relies on. All router state
+// lives in one flat LaneStore. The core is serial by design; NoC parallelism
+// lives at sweep level (DESIGN.md §11).
 // Sources hold packet descriptors (not expanded flits), so streaming a
 // multi-million-flit layer costs O(1) memory per flow.
 //
@@ -32,7 +35,7 @@
 #include "noc/config.hpp"
 #include "noc/fault.hpp"
 #include "noc/flit.hpp"
-#include "noc/router.hpp"
+#include "noc/lane_store.hpp"
 #include "noc/routing.hpp"
 #include "noc/stats.hpp"
 #include "obs/timeseries.hpp"
@@ -66,6 +69,10 @@ class DrainTimeoutError : public std::runtime_error {
 class Network {
  public:
   explicit Network(const NocConfig& cfg);
+  /// Out of line: tearing down every member is too much code to inline
+  /// into each function that runs a phase.
+  ~Network();
+  Network(Network&&) = default;
 
   const NocConfig& config() const noexcept { return cfg_; }
 
@@ -96,12 +103,8 @@ class Network {
     return stats_.cycles.value();
   }
 
-  [[nodiscard]] Router& router(int id) {
-    return routers_[static_cast<std::size_t>(id)];
-  }
-  [[nodiscard]] const Router& router(int id) const {
-    return routers_[static_cast<std::size_t>(id)];
-  }
+  /// Every router's lanes, locks, round-robin pointers and routes.
+  [[nodiscard]] const LaneStore& lanes() const noexcept { return lanes_; }
 
   /// Called for every ejected flit (after stats are updated).
   void set_eject_hook(std::function<void(const Flit&, std::uint64_t)> hook) {
@@ -193,23 +196,23 @@ class Network {
     // Progress through the packet currently being injected.
     bool active = false;
     PacketDescriptor current{};
+    /// The active packet's header fields (id, endpoints, VC, tag), shared
+    /// by all of its flits.
+    Flit flit{};
+    std::size_t lane = 0;  ///< local input lane of the active packet's VC
     std::uint32_t sent = 0;
-    std::uint32_t packet_id = 0;
     std::uint64_t queued_flits = 0;  ///< flits not yet injected at this node
     std::uint32_t crc_accum = 0;     ///< running CRC of the active packet
   };
 
-  struct StagedMove {
-    int router;
-    int port;  ///< physical port; the flit's own vc selects the FIFO
-    Flit flit;
-  };
-
-  /// What the switch pass defers to commit_switch(): ejections, applied in
-  /// router-id order once every router has switched, and the pass's
+  /// What the switch pass defers to commit_switch(): the reference loop's
+  /// ejections, applied in router-id order once every router has switched
+  /// (the fast path ejects inline, in that same order), and the pass's
   /// counters, added to stats_ after them (the eject hook reads stats_).
+  /// buffer_writes also counts injections and lands at the cycle edge.
   struct SwitchCtx {
     std::vector<std::pair<int, Flit>> ejects;  ///< (node, flit), id order
+    std::uint64_t buffer_writes = 0;  ///< flits landed in lanes (+ injection)
     std::uint64_t buffer_reads = 0;
     std::uint64_t router_traversals = 0;
     std::uint64_t link_traversals = 0;
@@ -218,24 +221,29 @@ class Network {
     std::uint64_t bit_flips = 0;
     void clear() noexcept {
       ejects.clear();
-      buffer_reads = router_traversals = link_traversals = 0;
+      buffer_writes = buffer_reads = router_traversals = link_traversals = 0;
       stall_cycles = link_fault_cycles = bit_flips = 0;
     }
   };
 
   void inject_phase();
-  /// Snapshot per-(node, port, VC) occupancy and per-router totals at the
-  /// cycle boundary; the switch core's capacity predicate reads only this.
+  /// Snapshot per-lane occupancy (and, for the reference loop, per-router
+  /// totals) at the cycle boundary; the switch core's capacity predicate
+  /// reads only this.
   void snapshot_occupancy();
   /// Switch allocation + grants for every router, in router-id order:
-  /// traversals go to staged_, ejections and counters to ctx_.
+  /// traversals arrive in their downstream lanes, ejections and counters go
+  /// to ctx_.
   void switch_phase();
   /// Candidate-mask allocation for one router — the event engine's fast
   /// path. Bit-identical to the reference loop in switch_phase (same
   /// winners, same order); only the scan is restructured around per-output
   /// head bitmasks. Gated off under faults and live NoC tracing, which
   /// hook the reference loop per entity.
-  void switch_router_fast(int rid);
+  [[gnu::always_inline]] void switch_router_fast(int rid);
+  /// Write a granted or injected flit into `lane` of `router`; on the fast
+  /// path, an arrival into an empty lane becomes its (fresh) head.
+  void land(std::size_t lane, int router, const Flit& f);
   /// Apply the switch pass's deferred effects (ctx_) to shared state.
   void commit_switch();
   /// Advance one clock cycle through the shared core: snapshot, switch,
@@ -272,6 +280,8 @@ class Network {
   /// Requeue `d` for reinjection if a live route still exists, else count
   /// it undeliverable.
   void requeue_or_drop(PacketDescriptor d);
+  /// Flits buffered in every lane of the mesh.
+  [[nodiscard]] std::uint64_t buffered_flits() const noexcept;
   void sample_queue_depths();
   void sample_series();
   /// Flits a descriptor expands to at injection (+1 CRC flit if protected).
@@ -282,7 +292,7 @@ class Network {
 
   NocConfig cfg_;
   EngineMode engine_ = EngineMode::Event;
-  std::vector<Router> routers_;
+  LaneStore lanes_;
   std::vector<Source> sources_;
   NocStats stats_;
   FaultModel fault_;
@@ -315,44 +325,28 @@ class Network {
   std::unordered_map<std::uint32_t, PacketDescriptor> inflight_;
   /// Ejection-side running CRC per in-flight packet id.
   std::unordered_map<std::uint32_t, std::uint32_t> eject_crc_;
-  /// This cycle's moves: switch traversals (router-id order), then
-  /// injections. Pushed into the downstream FIFOs at the end of the cycle.
-  std::vector<StagedMove> staged_;
-  // staged occupancy per (router, port, vc) for capacity checks in a cycle
-  std::vector<std::uint8_t> staged_count_;
-  /// Cycle-boundary occupancy snapshot per (router, port, vc).
-  std::vector<std::uint16_t> occ_;
+  /// Cycle-boundary occupancy snapshot per lane.
+  std::vector<std::uint8_t> occ_;
   /// Cycle-boundary buffered-flit total per router (empty-router skip).
   std::vector<std::uint32_t> router_occ_;
   /// The switch pass's deferred effects; persistent so per-cycle stepping
   /// does not allocate.
   SwitchCtx ctx_;
-  /// Downstream node per (router, output port); -1 for kLocal and mesh
-  /// edges. Built once at construction for the switch fast path.
-  std::vector<int> neighbor_;
   /// Fixed at construction: the run may use switch_router_fast (event
   /// engine, faults off, tracing off, slot count within one bitmask).
   /// Engine, fault and trace state never change after construction, so
   /// the incremental occupancy masks below are maintained iff this is set.
   bool fast_switch_ = false;
-  /// Live occupied-slot bitmask per router (bit = flattened (port, VC)),
+  /// Live occupied-slot bitmask per router (bit = slot = port * vcs + vc),
   /// updated on every push/pop. Fast-path only.
   std::vector<std::uint64_t> occ_mask_;
-  /// Cached DOR output port of each slot's head flit (valid where the
+  /// Per router, the slots whose head flit arrived this cycle and so may
+  /// not move before the next one; cleared at every cycle edge. Fast-path
+  /// only.
+  std::vector<std::uint64_t> fresh_mask_;
+  /// Cached output port of each lane's head flit (valid where the
   /// occupancy bit is set; heads change only on push-to-empty and pop).
   std::vector<std::uint8_t> head_out_;
-  /// Live per-(router, port, VC) FIFO sizes, updated on every push/pop, so
-  /// the cycle-boundary snapshot is one memcpy instead of a FIFO walk.
-  /// Fast-path only.
-  std::vector<std::uint16_t> live_occ_;
-  int vcs_ = 1;
-  [[nodiscard]] std::size_t stage_index(int node, int port,
-                                        int vc) const noexcept {
-    return (static_cast<std::size_t>(node) * kNumPorts +
-            static_cast<std::size_t>(port)) *
-               static_cast<std::size_t>(vcs_) +
-           static_cast<std::size_t>(vc);
-  }
   std::uint32_t next_packet_id_ = 1;
   std::function<void(const Flit&, std::uint64_t)> eject_hook_;
 

@@ -5,6 +5,11 @@
 // memory interface to a set of PEs (weights/ifmap dispatch), and a gather
 // from PEs back to a memory interface (ofmap writeback). Uniform random
 // traffic is provided for NoC validation and micro-benchmarks.
+//
+// The order of a builder's output is not the order a source injects it: a
+// network source pops equal-release packets in std::priority_queue heap
+// order (24 round-robin packets over 12 PEs pop as PE 0 2 6 2 11 10 …),
+// and every simulated result depends on that order.
 #pragma once
 
 #include <cstdint>

@@ -27,7 +27,7 @@ const char* kind_name(MetricKind k) noexcept {
 
 bool unit_allowed(std::string_view unit) noexcept {
   // The vocabulary lives in src/util/units_vocab.inc — one definition shared
-  // with units.hpp's dimension tags and the tools/lint.py [metric] rule.
+  // with units.hpp's dimension tags and tools/lint.py's units.vocab rule.
   return units::vocab_has(unit);
 }
 

@@ -9,7 +9,7 @@
 // exports to JSON and CSV in one call. Snapshot bridges (obs/noc_stats_bridge,
 // obs/report) copy the structs in; nothing in a simulation hot path touches a
 // registry. Unit strings are validated both here (NOCW_CHECK) and statically
-// by tools/lint.py's [metric] rule, so a pJ/J-style mix-up cannot ship under
+// by tools/lint.py's units.vocab rule, so a pJ/J-style mix-up cannot ship under
 // an unlabeled name.
 #pragma once
 

@@ -1,11 +1,18 @@
-// Fixed-capacity FIFO used for router input buffers and PE queues.
+// A bank of fixed-capacity FIFOs sharing one contiguous allocation.
 //
-// Capacity is a runtime constant (buffer depth is an architectural
-// parameter); storage is a single contiguous allocation and push/pop are
-// branch-light, since the NoC simulator performs millions of these per run.
+// The NoC keeps every router input lane of the mesh in one bank: ring i
+// occupies slots [i * capacity, (i + 1) * capacity), and its head and size
+// are one byte each in two flat arrays, so the size array doubles as the
+// occupancy state the cycle engine snapshots with a single copy. Capacity
+// is a runtime constant (buffer depth is an architectural parameter) in
+// [1, 255]; push and pop wrap by compare, not modulo, since the simulator
+// performs millions of them per run.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -14,58 +21,69 @@
 namespace nocw {
 
 template <typename T>
-class RingBuffer {
+class RingBuffers {
  public:
-  explicit RingBuffer(std::size_t capacity) : buf_(capacity) {
+  RingBuffers(std::size_t count, std::size_t capacity)
+      : slots_(count * capacity), head_(count, 0), size_(count, 0),
+        capacity_(capacity) {
     NOCW_CHECK_GT(capacity, std::size_t{0});
+    NOCW_CHECK_LE(capacity, std::size_t{255});
   }
 
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] bool full() const noexcept { return size_ == buf_.size(); }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
-  [[nodiscard]] std::size_t free_slots() const noexcept {
-    return buf_.size() - size_;
+  [[nodiscard]] std::size_t count() const noexcept { return size_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+
+  [[nodiscard]] bool empty(std::size_t ring) const noexcept {
+    return size_[ring] == 0;
+  }
+  [[nodiscard]] bool full(std::size_t ring) const noexcept {
+    return size_[ring] == capacity_;
+  }
+  [[nodiscard]] std::size_t size(std::size_t ring) const noexcept {
+    return size_[ring];
+  }
+  /// Every ring's size, indexed by ring.
+  [[nodiscard]] std::span<const std::uint8_t> sizes() const noexcept {
+    return size_;
   }
 
-  /// Push one element; caller must check !full() first.
-  void push(T value) {
-    NOCW_DCHECK(!full());
-    buf_[tail_] = std::move(value);
-    tail_ = (tail_ + 1) % buf_.size();
-    ++size_;
+  /// Push one element; caller must check !full(ring) first.
+  void push(std::size_t ring, T value) {
+    NOCW_DCHECK(!full(ring));
+    std::size_t at = head_[ring] + size_[ring];
+    if (at >= capacity_) at -= capacity_;
+    slots_[ring * capacity_ + at] = std::move(value);
+    ++size_[ring];
   }
 
-  /// Front element; caller must check !empty() first.
-  [[nodiscard]] const T& front() const {
-    NOCW_DCHECK(!empty());
-    return buf_[head_];
+  /// Front element; caller must check !empty(ring) first.
+  [[nodiscard]] const T& front(std::size_t ring) const {
+    NOCW_DCHECK(!empty(ring));
+    return slots_[ring * capacity_ + head_[ring]];
   }
 
-  [[nodiscard]] T& front() {
-    NOCW_DCHECK(!empty());
-    return buf_[head_];
-  }
-
-  /// Pop and return the front element; caller must check !empty() first.
-  T pop() {
-    NOCW_DCHECK(!empty());
-    T value = std::move(buf_[head_]);
-    head_ = (head_ + 1) % buf_.size();
-    --size_;
+  /// Pop and return the front element; caller must check !empty(ring).
+  T pop(std::size_t ring) {
+    NOCW_DCHECK(!empty(ring));
+    std::uint8_t& head = head_[ring];
+    T value = std::move(slots_[ring * capacity_ + head]);
+    const std::size_t next = head + std::size_t{1};
+    head = static_cast<std::uint8_t>(next == capacity_ ? 0 : next);
+    --size_[ring];
     return value;
   }
 
+  /// Empty every ring.
   void clear() noexcept {
-    head_ = tail_ = 0;
-    size_ = 0;
+    std::fill(head_.begin(), head_.end(), std::uint8_t{0});
+    std::fill(size_.begin(), size_.end(), std::uint8_t{0});
   }
 
  private:
-  std::vector<T> buf_;
-  std::size_t head_ = 0;
-  std::size_t tail_ = 0;
-  std::size_t size_ = 0;
+  std::vector<T> slots_;
+  std::vector<std::uint8_t> head_;
+  std::vector<std::uint8_t> size_;
+  std::size_t capacity_;
 };
 
 }  // namespace nocw

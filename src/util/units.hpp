@@ -52,8 +52,8 @@
 namespace nocw::units {
 
 // ---------------------------------------------------------------------------
-// Closed unit vocabulary (shared with obs::Registry and tools/lint.py /
-// tools/nocw_analyze.py via units_vocab.inc).
+// Closed unit vocabulary (shared with obs::Registry and tools/lint.py's
+// `units.vocab` rule via units_vocab.inc).
 // ---------------------------------------------------------------------------
 
 #define NOCW_UNIT(u) #u,

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "nn/models.hpp"
 #include "noc/network.hpp"
+#include "noc/traffic.hpp"
+#include "obs/trace.hpp"
 
 namespace nocw::accel {
 namespace {
@@ -146,6 +151,71 @@ TEST(Simulator, MobilenetSimulatesInReasonableTime) {
   EXPECT_GT(r.layers.size(), 20u);
   EXPECT_GT(r.latency.total().value(), 0.0);
 }
+
+#if !defined(NOCW_TRACE_DISABLED)
+TEST(Simulator, LenetFullPhasesRespectBottleneckBound) {
+  // Every LeNet-5 layer simulated in full (no window scaling): its phase
+  // cycles can never undercut the busiest injection port, ejection port or
+  // link, each of which moves at most one flit per cycle. Live NoC tracing
+  // turns on the per-link / per-node observation.
+  obs::Tracer::set_enabled(true);
+  obs::Tracer::set_categories(obs::kCatNoc);
+  obs::Tracer::set_sample_every(1024);
+  AccelConfig cfg;
+  cfg.noc_window_flits = ~std::uint64_t{0};
+  AcceleratorSim sim(cfg);
+  const ModelSummary s = summarize(nn::make_lenet5());
+  std::vector<LayerResult> layers;
+  for (const LayerSummary& layer : s.layers) {
+    layers.push_back(sim.simulate_layer(layer));
+  }
+  obs::Tracer::global().clear();
+  obs::Tracer::set_categories(obs::kCatAll);
+  obs::Tracer::set_sample_every(1);
+  obs::Tracer::set_enabled(false);
+
+  const auto word_bits =
+      static_cast<std::uint64_t>(cfg.noc.link_width_bits);
+  int phases = 0;
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    const LayerSummary& layer = s.layers[i];
+    const LayerResult& r = layers[i];
+    if (!layer.traffic_bearing) continue;
+    SCOPED_TRACE(layer.name);
+    ASSERT_TRUE(r.noc_obs.collected);
+    // The layer's phase traffic, compiled as simulate_layer compiles it.
+    const auto words = [&](std::uint64_t elems, int bits) {
+      return units::to_words(
+          units::Bits{elems * static_cast<std::uint64_t>(bits)}, word_bits);
+    };
+    const units::Flits scatter = units::flits_of(
+        words(layer.weight_count, cfg.bits_per_weight) +
+        words(layer.ifmap_elems, cfg.bits_per_activation));
+    const units::Flits gather =
+        units::flits_of(words(layer.ofmap_elems, cfg.bits_per_activation));
+    const auto ps = noc::phase_traffic(cfg.noc, scatter, gather,
+                                       cfg.packet_flits);
+    ASSERT_EQ(noc::total_flits(ps), r.total_flits);
+    std::vector<std::uint64_t> injected(
+        static_cast<std::size_t>(cfg.noc.node_count()), 0);
+    for (const noc::PacketDescriptor& p : ps) injected[p.src] += p.size_flits;
+    std::uint64_t bound = 0;
+    for (const std::uint64_t v : injected) bound = std::max(bound, v);
+    for (const std::uint64_t v : r.noc_obs.node_ejections) {
+      bound = std::max(bound, v);
+    }
+    for (const std::uint64_t v : r.noc_obs.link_flits) {
+      bound = std::max(bound, v);
+    }
+    EXPECT_EQ(r.latency.comm_cycles.value(),
+              static_cast<double>(r.noc_obs.window_cycles));
+    EXPECT_GT(bound, 0u);
+    EXPECT_GE(r.noc_obs.window_cycles, bound);
+    ++phases;
+  }
+  EXPECT_GT(phases, 0);
+}
+#endif
 
 }  // namespace
 }  // namespace nocw::accel

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -20,7 +23,13 @@ namespace {
 class SummaryWriter : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "summary_writer";
+    // ctest runs every case as its own process, in parallel under -j: each
+    // case (and each process) gets its own directory, so no case reads a
+    // summary another one is writing.
+    dir_ = ::testing::TempDir() + "summary_writer_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "_" + std::to_string(::getpid());
+    std::filesystem::remove_all(dir_);
     summary_ = dir_ + "/results/BENCH_summary.json";
     // Pin the summary path: the environment outside the test must not
     // redirect where write_summary lands.
@@ -29,6 +38,7 @@ class SummaryWriter : public ::testing::Test {
   void TearDown() override {
     ::unsetenv("NOCW_SUMMARY_JSON");
     ::unsetenv("NOCW_REGRESS_STRICT");
+    std::filesystem::remove_all(dir_);
   }
 
   std::string read_summary_file() const {

@@ -55,13 +55,12 @@ TEST(NocInvariants, ConservationAfterDrainAcrossConfigs) {
 TEST(NocInvariants, RouterChecksPassOnFreshAndDrainedRouters) {
   NocConfig cfg;
   Network net(cfg);
-  for (int id = 0; id < cfg.node_count(); ++id) {
-    EXPECT_NO_THROW(net.router(id).check_invariants());
-  }
+  EXPECT_NO_THROW(net.lanes().check_invariants());
   net.add_packets(uniform_random_traffic(cfg, 50, 4, /*seed=*/3));
   net.run_until_drained(100000);
+  EXPECT_NO_THROW(net.lanes().check_invariants());
   for (int id = 0; id < cfg.node_count(); ++id) {
-    EXPECT_NO_THROW(net.router(id).check_invariants());
+    EXPECT_EQ(net.lanes().buffered(id), 0u);
   }
 }
 

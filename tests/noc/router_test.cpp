@@ -1,11 +1,15 @@
-#include "noc/router.hpp"
+// Router semantics on the flat lane store: XY routing, switch allocation,
+// wormhole locks and round-robin priority of one router (node 5 = (1,1) of
+// the default 4x4 mesh). With one VC a router's slot is its input port.
+#include "noc/lane_store.hpp"
 
 #include <gtest/gtest.h>
 
 namespace nocw::noc {
 namespace {
 
-NocConfig cfg4x4() { return NocConfig{}; }
+constexpr int kRouter = 5;  // node (1,1)
+constexpr auto kAny = [](const Flit&) { return true; };
 
 Flit head(int src, int dst, std::uint32_t id = 1) {
   Flit f;
@@ -16,121 +20,124 @@ Flit head(int src, int dst, std::uint32_t id = 1) {
   return f;
 }
 
+/// Buffer `f` at an input port of the router, as of the last cycle edge.
+void push(LaneStore& s, int port, const Flit& f) {
+  s.arrive(s.lane(kRouter, port, 0), f);
+  s.settle();
+}
+
 TEST(Router, XyRouteComputation) {
-  const NocConfig cfg = cfg4x4();
-  Router r(5, cfg);  // node (1,1)
-  EXPECT_EQ(r.route(5), kLocal);
-  EXPECT_EQ(r.route(6), kEast);
-  EXPECT_EQ(r.route(4), kWest);
-  EXPECT_EQ(r.route(1), kNorth);
-  EXPECT_EQ(r.route(9), kSouth);
+  const LaneStore s(NocConfig{});
+  EXPECT_EQ(s.route(kRouter, 5), kLocal);
+  EXPECT_EQ(s.route(kRouter, 6), kEast);
+  EXPECT_EQ(s.route(kRouter, 4), kWest);
+  EXPECT_EQ(s.route(kRouter, 1), kNorth);
+  EXPECT_EQ(s.route(kRouter, 9), kSouth);
   // X resolved before Y: dst (3,3)=15 from (1,1) goes East first.
-  EXPECT_EQ(r.route(15), kEast);
+  EXPECT_EQ(s.route(kRouter, 15), kEast);
   // dst (1,3)=13: same column -> South.
-  EXPECT_EQ(r.route(13), kSouth);
+  EXPECT_EQ(s.route(kRouter, 13), kSouth);
 }
 
 TEST(Router, AllocatePicksRequestingInput) {
-  const NocConfig cfg = cfg4x4();
-  Router r(5, cfg);
-  r.input(kWest).push(head(4, 6));  // wants East
-  EXPECT_FALSE(r.allocate(kNorth).has_value());
-  const auto in = r.allocate(kEast);
+  LaneStore s(NocConfig{});
+  push(s, kWest, head(4, 6));  // wants East
+  EXPECT_FALSE(s.allocate_with(kRouter, kNorth, kAny).has_value());
+  const auto in = s.allocate_with(kRouter, kEast, kAny);
   ASSERT_TRUE(in.has_value());
   EXPECT_EQ(*in, kWest);
 }
 
 TEST(Router, WormholeLockHoldsUntilTail) {
-  const NocConfig cfg = cfg4x4();
-  Router r(5, cfg);
+  LaneStore s(NocConfig{});
   // Packet A: head+body+tail from West to East.
   Flit h = head(4, 6, 1);
   Flit b = h;
   b.type = FlitType::Body;
   Flit t = h;
   t.type = FlitType::Tail;
-  r.input(kWest).push(h);
+  push(s, kWest, h);
   // Competing head from North also wants East.
-  r.input(kNorth).push(head(1, 6, 2));
+  push(s, kNorth, head(1, 6, 2));
 
-  auto in = r.allocate(kEast);
+  auto in = s.allocate_with(kRouter, kEast, kAny);
   ASSERT_TRUE(in.has_value());
   const int winner = *in;
-  (void)r.grant(winner, kEast);  // head claims the lock
+  (void)s.grant(kRouter, winner, kEast);  // head claims the lock
+  EXPECT_EQ(s.lock_owner(kRouter, kEast, 0), winner);
 
   // Body of the winning packet arrives later; until then no one else may use
   // the locked output.
-  const auto blocked = r.allocate(kEast);
+  const auto blocked = s.allocate_with(kRouter, kEast, kAny);
   if (winner == kWest) {
     EXPECT_FALSE(blocked.has_value());  // owner's buffer is empty
-    r.input(kWest).push(b);
-    auto again = r.allocate(kEast);
+    push(s, kWest, b);
+    auto again = s.allocate_with(kRouter, kEast, kAny);
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(*again, kWest);
-    (void)r.grant(kWest, kEast);
-    r.input(kWest).push(t);
-    (void)r.grant(kWest, kEast);  // tail releases the lock
-    const auto after = r.allocate(kEast);
+    (void)s.grant(kRouter, kWest, kEast);
+    push(s, kWest, t);
+    (void)s.grant(kRouter, kWest, kEast);  // tail releases the lock
+    EXPECT_EQ(s.lock_owner(kRouter, kEast, 0), -1);
+    const auto after = s.allocate_with(kRouter, kEast, kAny);
     ASSERT_TRUE(after.has_value());
     EXPECT_EQ(*after, kNorth);  // the competitor finally wins
   }
 }
 
 TEST(Router, BodyFlitWithoutLockNotGranted) {
-  const NocConfig cfg = cfg4x4();
-  Router r(5, cfg);
+  LaneStore s(NocConfig{});
   Flit b = head(4, 6);
   b.type = FlitType::Body;
-  r.input(kWest).push(b);
-  EXPECT_FALSE(r.allocate(kEast).has_value());
+  push(s, kWest, b);
+  EXPECT_FALSE(s.allocate_with(kRouter, kEast, kAny).has_value());
 }
 
 TEST(Router, HeadTailReleasesImmediately) {
-  const NocConfig cfg = cfg4x4();
-  Router r(5, cfg);
+  LaneStore s(NocConfig{});
   Flit f = head(4, 6);
   f.type = FlitType::HeadTail;
-  r.input(kWest).push(f);
-  const auto in = r.allocate(kEast);
+  push(s, kWest, f);
+  const auto in = s.allocate_with(kRouter, kEast, kAny);
   ASSERT_TRUE(in.has_value());
-  (void)r.grant(*in, kEast);
-  r.input(kNorth).push(head(1, 6, 2));
-  const auto next = r.allocate(kEast);
+  (void)s.grant(kRouter, *in, kEast);
+  push(s, kNorth, head(1, 6, 2));
+  const auto next = s.allocate_with(kRouter, kEast, kAny);
   ASSERT_TRUE(next.has_value());
   EXPECT_EQ(*next, kNorth);
 }
 
 TEST(Router, RoundRobinRotatesPriority) {
-  const NocConfig cfg = cfg4x4();
-  Router r(5, cfg);
+  LaneStore s(NocConfig{});
   // Two single-flit packets from different inputs, both to the East.
   Flit a = head(4, 6, 1);
   a.type = FlitType::HeadTail;
   Flit b = head(1, 6, 2);
   b.type = FlitType::HeadTail;
-  r.input(kWest).push(a);
-  r.input(kNorth).push(b);
-  const auto first = r.allocate(kEast);
+  push(s, kWest, a);
+  push(s, kNorth, b);
+  const auto first = s.allocate_with(kRouter, kEast, kAny);
   ASSERT_TRUE(first.has_value());
-  (void)r.grant(*first, kEast);
-  const auto second = r.allocate(kEast);
+  (void)s.grant(kRouter, *first, kEast);
+  EXPECT_EQ(s.rr_pointer(kRouter, kEast), (*first + 1) % s.slots());
+  const auto second = s.allocate_with(kRouter, kEast, kAny);
   ASSERT_TRUE(second.has_value());
   EXPECT_NE(*second, *first);
 }
 
 TEST(Router, IdleAndBufferedCount) {
-  const NocConfig cfg = cfg4x4();
-  Router r(5, cfg);
-  EXPECT_TRUE(r.idle());
-  r.input(kWest).push(head(4, 6));
-  EXPECT_FALSE(r.idle());
-  EXPECT_EQ(r.buffered_flits(), 1u);
+  LaneStore s(NocConfig{});
+  EXPECT_EQ(s.buffered(kRouter), 0u);
+  push(s, kWest, head(4, 6));
+  EXPECT_EQ(s.buffered(kRouter), 1u);
+  EXPECT_EQ(s.buffered(kRouter - 1), 0u);  // lanes are per router
+  EXPECT_EQ(s.flush(), 1u);
+  EXPECT_EQ(s.buffered(kRouter), 0u);
 }
 
 TEST(Router, GrantOnEmptyInputThrows) {
-  const NocConfig cfg = cfg4x4();
-  Router r(5, cfg);
-  EXPECT_THROW((void)r.grant(kWest, kEast), std::logic_error);
+  LaneStore s(NocConfig{});
+  EXPECT_THROW((void)s.grant(kRouter, kWest, kEast), std::logic_error);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "noc/lane_store.hpp"
 #include "noc/network.hpp"
-#include "noc/router.hpp"
 #include "noc/routing.hpp"
 #include "noc/traffic.hpp"
 #include "util/check.hpp"
@@ -13,12 +13,12 @@ TEST(Routing, YxResolvesYFirst)
 {
   NocConfig cfg;
   cfg.routing = Routing::YX;
-  Router r(5, cfg);  // node (1,1)
-  // dst (3,3)=15: YX goes South first (XY would go East).
-  EXPECT_EQ(r.route(15), kSouth);
-  EXPECT_EQ(r.route(6), kEast);   // same row: X move
-  EXPECT_EQ(r.route(13), kSouth);
-  EXPECT_EQ(r.route(5), kLocal);
+  const LaneStore lanes(cfg);
+  // Node 5 = (1,1); dst (3,3)=15: YX goes South first (XY would go East).
+  EXPECT_EQ(lanes.route(5, 15), kSouth);
+  EXPECT_EQ(lanes.route(5, 6), kEast);   // same row: X move
+  EXPECT_EQ(lanes.route(5, 13), kSouth);
+  EXPECT_EQ(lanes.route(5, 5), kLocal);
 }
 
 TEST(Routing, XyAndYxDeliverSameTraffic) {

@@ -189,9 +189,9 @@ RULES = (
     Rule("route",
          re.compile(r"\bdor_next_hop\s*\("),
          ("src/",), ("src/noc/routing.cpp", "src/noc/routing.hpp",
-                     "src/noc/router.cpp"),
-         "dor_next_hop() outside noc/routing (+ router.cpp); next hops come "
-         "from the RouteTable so quarantined links/routers are honored "
+                     "src/noc/lane_store.cpp"),
+         "dor_next_hop() outside noc/routing (+ lane_store.cpp); next hops "
+         "come from the RouteTable so quarantined links/routers are honored "
          "everywhere"),
     Rule("serve",
          re.compile(r"(?:\.|->)\s*simulate(?:_layer)?\s*\("),
@@ -441,9 +441,9 @@ const char q = '\'';
 unsigned long fault_hash(unsigned long s, unsigned long a,
                          unsigned long b, unsigned long c);
 unsigned long use() { return fault_hash(1, 2, 3, 4); }
-=== src/noc/router.cpp
+=== src/noc/lane_store.cpp
 #include "noc/routing.hpp"
-// the DOR fallback path may compute next hops directly
+// the lane store builds its DOR route table directly
 int fallback(const nocw::noc::NocConfig& c, int id, int dst) {
   return nocw::noc::dor_next_hop(c, id, dst);
 }

@@ -15,7 +15,9 @@ DESIGN.md §10):
 
   informational   wall-clock and throughput numbers that vary with the host
                   machine (substrings: _ms, seconds, gflops, speedup,
-                  flops; e.g. each bench's wall_ms). Reported, never gated.
+                  flops; e.g. each bench's wall_ms), plus the host-dependent
+                  metrics named in HOST_DEPENDENT (timing-overhead ratios
+                  and the core count). Reported, never gated.
   lower-better    latency, energy, cycles, _j, overhead, dropped, drops,
                   shed, burn, breach — an increase beyond tolerance is a
                   regression (SLO burn rates, breached-window counts and
@@ -48,11 +50,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import sys
 
 INFORMATIONAL = ("_ms", "seconds", "gflops", "speedup", "flops")
+# Exact metric names whose values depend on the host, not on the simulated
+# outputs: two wall-clock overhead ratios (which the "overhead" substring
+# would otherwise gate as lower-better) and the runner's core count.
+HOST_DEPENDENT = ("disabled_overhead_pct", "trace_overhead_fraction",
+                  "hardware_concurrency")
 LOWER_BETTER = ("latency", "energy", "cycles", "_j", "overhead", "dropped",
                 "drops", "shed", "burn", "breach")
 HIGHER_BETTER = ("accuracy", "bit_identical", ".cr", "_cr", "goodput")
@@ -60,7 +68,7 @@ HIGHER_BETTER = ("accuracy", "bit_identical", ".cr", "_cr", "goodput")
 
 def classify(name: str) -> str:
     low = name.lower()
-    if any(s in low for s in INFORMATIONAL):
+    if low in HOST_DEPENDENT or any(s in low for s in INFORMATIONAL):
         return "info"
     if any(s in low for s in LOWER_BETTER):
         return "lower"
@@ -200,15 +208,15 @@ def self_test() -> int:
 
     failures = []
 
-    def run(doc_b, doc_c, strict):
+    def run(doc_b, doc_c, strict, tol=0.05):
         with tempfile.TemporaryDirectory() as tmp:
             pb = pathlib.Path(tmp) / "base.json"
             pc = pathlib.Path(tmp) / "cand.json"
             pb.write_text(json.dumps(doc_b), encoding="utf-8")
             pc.write_text(json.dumps(doc_c), encoding="utf-8")
-            d = Diff(0.05, 1e-12)
+            d = Diff(tol, 1e-12)
             d.compare(load_benches(pb), load_benches(pc))
-            rc = run_diff(pb, pc, 0.05, 1e-12, strict)
+            rc = run_diff(pb, pc, tol, 1e-12, strict)
             return d, rc
 
     # 1. Identical inputs: zero regressions, exit 0 even under --strict.
@@ -328,12 +336,43 @@ def self_test() -> int:
         failures.append(f"fewer dropped_trees misclassified: "
                         f"{d.regressions} / {d.improvements}")
 
+    # 11. Host-dependent metrics: a 2x move in each is reported, never
+    # gated, even at zero relative tolerance — while a 1-ulp move in a
+    # latency_cycles value still fails there.
+    host_doc = copy.deepcopy(base_doc)
+    host_doc["benches"]["ext_trace_overhead"] = {
+        "model": "LeNet-5", "metrics": {"disabled_overhead_pct": 0.42}}
+    host_doc["benches"]["ext_reqtrace"] = {
+        "model": "LeNet-5", "metrics": {"trace_overhead_fraction": 0.009}}
+    host_doc["benches"]["micro_kernels"]["metrics"][
+        "hardware_concurrency"] = 4.0
+    pert = copy.deepcopy(host_doc)
+    pert["benches"]["ext_trace_overhead"]["metrics"][
+        "disabled_overhead_pct"] *= 2.0
+    pert["benches"]["ext_reqtrace"]["metrics"][
+        "trace_overhead_fraction"] *= 2.0
+    pert["benches"]["micro_kernels"]["metrics"]["hardware_concurrency"] *= 2.0
+    d, rc = run(host_doc, pert, strict=True, tol=0.0)
+    if d.regressions or d.improvements or rc != 0:
+        failures.append(f"host-dependent drift gated: "
+                        f"{d.regressions + d.improvements}, rc={rc}")
+    for key in HOST_DEPENDENT:
+        if not any(key in s for s in d.info):
+            failures.append(f"2x {key} not reported: {d.info}")
+    pert = copy.deepcopy(host_doc)
+    m = pert["benches"]["fig2_lenet_breakdown"]["metrics"]
+    m["latency_cycles"] = math.nextafter(m["latency_cycles"], math.inf)
+    d, rc = run(host_doc, pert, strict=True, tol=0.0)
+    if not any("latency_cycles" in r for r in d.regressions) or rc != 1:
+        failures.append(f"1-ulp latency_cycles move not gated: "
+                        f"{d.regressions}, rc={rc}")
+
     if failures:
         print("obs_diff self-test FAILED:")
         for f in failures:
             print(f"  {f}")
         return 1
-    print("obs_diff self-test passed: 10 scenarios")
+    print("obs_diff self-test passed: 11 scenarios")
     return 0
 
 
