@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 
 #include "core/linefit.hpp"
@@ -369,23 +370,70 @@ CompressedLayer compress(std::span<const float> weights,
   return layer;
 }
 
+namespace {
+
+/// The one streaming pass behind compress_into() and compress_stream(): each
+/// segment is replayed into `stage` the moment it closes, right after the
+/// weights already there, and `sink` receives every full `block` of `stage`
+/// in order, then the shorter rest at the end. Unsent weights move to the
+/// front of `stage` after each segment, so it needs min(n, block + the
+/// longest segment) floats; with block = n it is the whole output and
+/// nothing moves.
+template <class Sink>
+CompressionStats stream_blocks(std::span<const float> weights,
+                               const CodecConfig& cfg, double range,
+                               std::size_t block, std::span<float> stage,
+                               Sink&& sink) {
+  CompressionStats st = begin_stats(weights, cfg, range);
+  double sse = 0.0;
+  std::size_t fill = 0;
+  fit_segments(weights, 0, weights.size(), st.delta_abs, st.config,
+               [&](const CompressedSegment& s, std::size_t first) {
+                 ++st.segment_count;
+                 replay_segment<true>(s, weights.data() + first, sse,
+                                      stage.data() + fill);
+                 fill += s.length;
+                 std::size_t sent = 0;
+                 for (; fill - sent >= block; sent += block) {
+                   sink(stage.subspan(sent, block));
+                 }
+                 if (sent > 0) {
+                   std::memmove(stage.data(), stage.data() + sent,
+                                (fill - sent) * sizeof(float));
+                   fill -= sent;
+                 }
+                 return true;
+               });
+  if (fill > 0) sink(stage.first(fill));
+  st.sse = sse;
+  return st;
+}
+
+}  // namespace
+
 CompressionStats compress_into(std::span<const float> weights,
                                const CodecConfig& cfg, double range,
                                std::span<float> out) {
   if (out.size() != weights.size()) {
     size_mismatch("compress_into", out.size(), weights.size());
   }
-  CompressionStats st = begin_stats(weights, cfg, range);
-  double sse = 0.0;
-  fit_segments(weights, 0, weights.size(), st.delta_abs, st.config,
-               [&](const CompressedSegment& s, std::size_t first) {
-                 ++st.segment_count;
-                 replay_segment<true>(s, weights.data() + first, sse,
-                                      out.data() + first);
-                 return true;
-               });
-  st.sse = sse;
-  return st;
+  // One block, staged in `out` itself: the sink has nothing left to do.
+  return stream_blocks(weights, cfg, range,
+                       std::max<std::size_t>(out.size(), 1), out,
+                       [](std::span<const float>) {});
+}
+
+CompressionStats compress_stream(std::span<const float> weights,
+                                 const CodecConfig& cfg, double range,
+                                 std::size_t block, const BlockSink& sink) {
+  if (block == 0) {
+    throw std::invalid_argument("compress_stream: block must be positive");
+  }
+  const std::size_t stage_size = std::min(
+      weights.size(), block + max_segment_length(cfg.length_bits));
+  const auto stage = std::make_unique_for_overwrite<float[]>(stage_size);
+  return stream_blocks(weights, cfg, range, block,
+                       std::span<float>(stage.get(), stage_size), sink);
 }
 
 void decompress(const CompressedLayer& layer, std::span<float> out) {

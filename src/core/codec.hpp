@@ -9,8 +9,11 @@
 // compress() keeps the segments (for serialization, the decompressor unit
 // and multi-δ caches). compress_into() streams instead, as the hardware does:
 // each segment is reconstructed and scored the moment it closes, while its
-// ≤ 256 weights are still in L1, and is then dropped. Both run the same
-// segmentation + fit loop and agree bit for bit (sizes, SSE and weights).
+// ≤ 256 weights are still in L1, and is then dropped. compress_stream() goes
+// one step further and never holds the whole reconstruction: it hands it to
+// a sink in fixed-size blocks, which is how the δ-sweep feeds a layer's
+// GEMM panel by panel (DESIGN.md §18). All three run the same segmentation
+// + fit loop and agree bit for bit (sizes, SSE and weights).
 // compress() of a layer longer than one chunk, called outside a parallel
 // region, runs that loop on every lane of the global pool, one chunk per
 // lane, and stitches the chunks into the serial segmentation (DESIGN.md
@@ -25,6 +28,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -153,6 +157,19 @@ CompressedLayer compress(std::span<const float> weights,
 CompressionStats compress_into(std::span<const float> weights,
                                const CodecConfig& cfg, double range,
                                std::span<float> out);
+
+/// Receives the reconstruction of compress_stream(), one block at a time.
+using BlockSink = std::function<void(std::span<const float>)>;
+
+/// compress_into() without the output buffer: the reconstruction goes to
+/// `sink` in order, `block` weights at a time (the last block may be
+/// shorter), and the pass holds only one block plus one maximum-length
+/// segment. Segments cross block boundaries freely. Returns compress()'s
+/// statistics bit for bit, and the blocks concatenate to compress_into()'s
+/// output. Throws std::invalid_argument when block is 0.
+CompressionStats compress_stream(std::span<const float> weights,
+                                 const CodecConfig& cfg, double range,
+                                 std::size_t block, const BlockSink& sink);
 
 /// Reconstruct the approximated weights via Eq. (2). `out.size()` must equal
 /// `layer.original_count`. Segment headers are validated first: a length that

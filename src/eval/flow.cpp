@@ -1,8 +1,5 @@
 #include "eval/flow.hpp"
 
-#include <memory>
-#include <span>
-
 #include "eval/layer_selection.hpp"
 #include "eval/probes.hpp"
 #include "nn/metrics.hpp"
@@ -88,6 +85,12 @@ void DeltaEvaluator::annotate_manifest(obs::RunManifest& m) const {
   m.metrics["eval.evaluations"] = static_cast<double>(evaluations_);
 }
 
+void CodecSource::stream(std::size_t row_len,
+                         const nn::PanelConsumer& consume) {
+  stats_ = core::compress_stream(weights_, codec_, range_,
+                                 nn::kPanelRows * row_len, consume);
+}
+
 DeltaPoint DeltaEvaluator::evaluate_point(double delta_percent) const {
   DeltaPoint point;
   point.delta_percent = delta_percent;
@@ -95,20 +98,17 @@ DeltaPoint DeltaEvaluator::evaluate_point(double delta_percent) const {
   core::CodecConfig codec = cfg_.codec;
   codec.delta_percent = delta_percent;
 
-  // compress_into writes every element, so the buffer needs no zero-fill;
-  // no segment list is ever built.
+  // The tail's selected layer compresses its kernel as it multiplies it,
+  // panel by panel; no reconstruction of the whole kernel is ever held.
   const nn::Graph& graph = model_->graph;
-  const auto kernel = graph.layer(selected_node_).kernel();
-  const auto approx = std::make_unique_for_overwrite<float[]>(kernel.size());
-  const std::span<float> approx_span(approx.get(), kernel.size());
-  const core::CompressionStats stats =
-      core::compress_into(kernel, codec, kernel_range_, approx_span);
+  CodecSource approx(graph.layer(selected_node_).kernel(), codec,
+                     kernel_range_);
+  const nn::Tensor outputs = graph.forward_tail(
+      captured_, selected_node_, {selected_node_, {}, &approx});
+  const core::CompressionStats& stats = approx.stats();
   point.report = core::compression_report(stats, selected_fraction_);
   point.compression.compressed_bits = stats.compressed_bits();
   point.compression.weight_count = stats.original_count;
-
-  const nn::Tensor outputs = graph.forward_tail(
-      captured_, selected_node_, {selected_node_, approx_span});
 
   if (labels_.empty()) {
     point.accuracy =

@@ -3,18 +3,21 @@
 // A DeltaEvaluator reads one model, the selected layer (Layer Selection
 // block), a probe set, and the cached activations feeding the selected
 // layer. Because compression perturbs exactly one layer, the expensive
-// network prefix runs once; each δ then costs one streaming pass over the
-// layer's weights (core::compress_into: segment, fit, reconstruct and score,
-// never storing a segment) into one uninitialized buffer, plus a cheap tail
-// replay that reads that buffer as a kernel override. The model is never
-// written, so every δ point of a sweep replays on the same const model
-// (DESIGN.md §18). Accuracy is top-1 against labels when a labeled dataset
-// is supplied (LeNet-5), otherwise top-5 agreement with the original
-// model's outputs (DESIGN.md §4).
+// network prefix runs once; each δ then costs one tail replay whose
+// selected layer reads its kernel from a CodecSource: core::compress_stream
+// segments, fits, reconstructs and scores the weights in one pass and hands
+// the reconstruction to the layer's GEMM one panel of nn::kPanelRows rows
+// at a time, so a point holds one panel plus one segment, never the whole
+// approximated kernel. The model is never written, so every δ point of a
+// sweep replays on the same const model (DESIGN.md §18). Accuracy is top-1
+// against labels when a labeled dataset is supplied (LeNet-5), otherwise
+// top-5 agreement with the original model's outputs (DESIGN.md §4).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "accel/simulator.hpp"
@@ -32,6 +35,33 @@ struct EvalConfig {
   int topk = 5;            ///< 5 for the ImageNet-scale zoo, 1 for LeNet-5
   std::uint64_t probe_seed = 4242;
   core::CodecConfig codec;  ///< delta_percent is overridden per evaluation
+};
+
+/// A kernel as the codec reconstructs it at one δ, read as a panel source:
+/// each stream() compresses `weights` afresh with core::compress_stream and
+/// hands the reconstruction over nn::kPanelRows rows at a time. stats()
+/// then holds that pass's compression statistics.
+class CodecSource final : public nn::KernelSource {
+ public:
+  /// `range` is value_range(weights); `weights` must outlive the source.
+  CodecSource(std::span<const float> weights, const core::CodecConfig& codec,
+              double range) noexcept
+      : weights_(weights), codec_(codec), range_(range) {}
+
+  [[nodiscard]] std::size_t size() const noexcept override {
+    return weights_.size();
+  }
+  void stream(std::size_t row_len,
+              const nn::PanelConsumer& consume) override;
+  [[nodiscard]] const core::CompressionStats& stats() const noexcept {
+    return stats_;
+  }
+
+ private:
+  std::span<const float> weights_;
+  core::CodecConfig codec_;
+  double range_;
+  core::CompressionStats stats_;
 };
 
 /// Everything the benches need about one δ point.

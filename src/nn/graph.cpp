@@ -50,7 +50,7 @@ std::vector<int> last_use(const std::vector<Graph::Node>& nodes) {
 Tensor Graph::forward(const Tensor& input, KernelOverride kernel) const {
   if (nodes_.empty()) throw std::logic_error("empty graph");
   const int batch = input.rank() > 0 ? input.dim(0) : 0;
-  if (batch >= 2 && global_pool().size() > 1 &&
+  if (batch >= 2 && kernel.source == nullptr && global_pool().size() > 1 &&
       !ThreadPool::in_parallel_region()) {
     return forward_batched(input, kernel);
   }
@@ -122,7 +122,9 @@ Tensor Graph::walk(const Tensor& input, int from, KernelOverride kernel,
       throw std::invalid_argument("kernel override targets a node not run");
     }
     const std::size_t own = nodes_[kernel.node].layer->kernel().size();
-    if (own == 0 || own != kernel.kernel.size()) {
+    const std::size_t given =
+        kernel.source ? kernel.source->size() : kernel.kernel.size();
+    if (own == 0 || own != given) {
       throw std::invalid_argument(
           "kernel override must match the size of the node's kernel");
     }
@@ -144,8 +146,13 @@ Tensor Graph::walk(const Tensor& input, int from, KernelOverride kernel,
             "forward_tail: node depends on an uncaptured prefix output");
       }
     }
-    outputs[i] = i == kernel.node ? n.layer->forward(ins, kernel.kernel)
-                                  : n.layer->forward(ins);
+    if (i != kernel.node) {
+      outputs[i] = n.layer->forward(ins);
+    } else if (kernel.source) {
+      outputs[i] = n.layer->forward(ins, *kernel.source);
+    } else {
+      outputs[i] = n.layer->forward(ins, kernel.kernel);
+    }
     if (i == keep) *kept = outputs[i];
     // Release producers that no later node consumes (activation footprint of
     // a full VGG pass drops from ~100 MB to the live window).

@@ -6,9 +6,11 @@
 // evaluation flow: because compression perturbs exactly one layer, the
 // expensive prefix up to that layer is computed once per probe input and
 // only the tail is replayed per δ (see forward_capturing / forward_tail).
-// A pass may read one node's kernel from a caller's buffer (KernelOverride)
-// instead of the graph, so sweeps never write to the model and any number
-// of threads can replay different approximations on one const Graph.
+// A pass may read one node's kernel from a caller's buffer or a panel source
+// (KernelOverride) instead of the graph, so sweeps never write to the model
+// and any number of threads can replay different approximations on one
+// const Graph; a source lets the δ-sweep feed codec output straight into
+// the layer's GEMM without a kernel-sized buffer.
 #pragma once
 
 #include <cstddef>
@@ -21,12 +23,15 @@
 namespace nocw::nn {
 
 /// Weights that node `node` reads in place of its own kernel for one pass;
-/// node -1 means no override. The node must be one the pass runs and have
-/// a kernel, and the span must have that kernel's size, or the pass throws
-/// std::invalid_argument.
+/// node -1 means no override. They come from `kernel`, or from `source`
+/// when that is set: a source is read once, panel by panel, so a pass with
+/// one never splits its batch across lanes. The node must be one the pass
+/// runs and have a kernel, and the override must have that kernel's size,
+/// or the pass throws std::invalid_argument.
 struct KernelOverride {
   int node = -1;
   std::span<const float> kernel;
+  KernelSource* source = nullptr;
 };
 
 class Graph {
@@ -54,8 +59,9 @@ class Graph {
   [[nodiscard]] int find(const std::string& name) const noexcept;
 
   /// Full forward pass; returns the last node's output. When the global
-  /// thread pool has more than one lane and the batch has 2+ samples, the
-  /// batch is split into contiguous sub-batches executed concurrently;
+  /// thread pool has more than one lane, the batch has 2+ samples and no
+  /// kernel source is set, the batch is split into contiguous sub-batches
+  /// executed concurrently;
   /// samples are independent, so outputs are bit-identical to the serial
   /// sweep for any NOCW_THREADS.
   [[nodiscard]] Tensor forward(const Tensor& input,

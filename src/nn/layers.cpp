@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "nn/gemm.hpp"
+#include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
 namespace nocw::nn {
@@ -66,11 +67,75 @@ std::size_t row_grain(int rows) {
       1, static_cast<std::size_t>(rows) / (static_cast<std::size_t>(lanes) * 4));
 }
 
+/// A kernel in memory as a source: one panel, the whole span.
+class SpanSource final : public KernelSource {
+ public:
+  explicit SpanSource(std::span<const float> kernel) noexcept
+      : kernel_(kernel) {}
+  [[nodiscard]] std::size_t size() const noexcept override {
+    return kernel_.size();
+  }
+  void stream(std::size_t /*row_len*/,
+              const PanelConsumer& consume) override {
+    consume(kernel_);
+  }
+
+ private:
+  std::span<const float> kernel_;
+};
+
+/// C[m x n] = A[m x k] * B, with B read from `source` in ascending panels of
+/// whole n-float rows. The first panel's gemm writes C and the others
+/// accumulate, so every element is the one-call chain c = c + a * b in
+/// ascending k, bit for bit (gemm.hpp). A panel short of all k rows
+/// multiplies a copy of A's matching columns.
+void gemm_panels(const float* a, std::size_t m, std::size_t k, std::size_t n,
+                 KernelSource& source, float* c) {
+  if (n == 0) return;
+  std::vector<float> slice;
+  std::size_t k0 = 0;
+  source.stream(n, [&](std::span<const float> panel) {
+    const std::size_t kp = panel.size() / n;
+    NOCW_CHECK(kp * n == panel.size() && kp <= k - k0);
+    const float* ap = a;
+    if (kp != k) {
+      slice.resize(m * kp);
+      for (std::size_t r = 0; r < m; ++r) {
+        std::memcpy(slice.data() + r * kp, a + r * k + k0, kp * sizeof(float));
+      }
+      ap = slice.data();
+    }
+    gemm(ap, panel.data(), c, m, kp, n, /*accumulate=*/k0 > 0);
+    k0 += kp;
+  });
+  NOCW_CHECK(k0 == k);
+}
+
+/// row[j] += bias[j] for each of `rows` rows of bias.size() floats at `c`.
+void add_bias(float* c, std::size_t rows, std::span<const float> bias) {
+  for (std::size_t r = 0; r < rows && !bias.empty(); ++r) {
+    float* row = c + r * bias.size();
+    for (std::size_t j = 0; j < bias.size(); ++j) row[j] += bias[j];
+  }
+}
+
 }  // namespace
 
 Tensor Layer::forward(std::span<const Tensor* const> /*inputs*/,
                      std::span<const float> /*kernel*/) const {
   throw std::invalid_argument("layer " + name_ + " has no kernel to override");
+}
+
+Tensor Layer::forward(std::span<const Tensor* const> inputs,
+                      KernelSource& kernel) const {
+  std::vector<float> whole(kernel.size());
+  std::size_t at = 0;
+  kernel.stream(1, [&](std::span<const float> panel) {
+    NOCW_CHECK(panel.size() <= whole.size() - at);
+    std::copy(panel.begin(), panel.end(), whole.begin() + at);
+    at += panel.size();
+  });
+  return forward(inputs, std::span<const float>(whole));
 }
 
 // --- InputLayer ------------------------------------------------------------
@@ -102,6 +167,10 @@ Conv2D::Conv2D(std::string name, int in_channels, int out_channels,
 
 Tensor Conv2D::forward(std::span<const Tensor* const> inputs,
                        std::span<const float> kernel) const {
+  if (pointwise()) {
+    SpanSource source(kernel);
+    return forward(inputs, source);
+  }
   const Tensor& in = single_input(inputs);
   require_rank(in, 4, "Conv2D");
   const int n = in.dim(0), h = in.dim(1), w = in.dim(2), c = in.dim(3);
@@ -115,71 +184,76 @@ Tensor Conv2D::forward(std::span<const Tensor* const> inputs,
 
   Tensor out({n, oh, ow, cout_});
   const std::size_t k = static_cast<std::size_t>(kh_) * kw_ * cin_;
-  // A 1x1, stride-1 conv's im2col matrix is the NHWC input itself.
-  const bool pointwise = kh_ == 1 && kw_ == 1 && stride_ == 1;
-  std::vector<float> cols(
-      pointwise ? 0 : static_cast<std::size_t>(oh) * ow * k);
+  std::vector<float> cols(static_cast<std::size_t>(oh) * ow * k);
 
   for (int img = 0; img < n; ++img) {
-    const float* lhs = pointwise ? &in.at(img, 0, 0, 0) : cols.data();
-    if (!pointwise) {
-      // im2col: one row of `cols` per output position. Output rows are
-      // disjoint `cols` slices, so the y loop parallelizes without
-      // synchronization (and runs inline when already inside a parallel
-      // region, e.g. a batched Graph::forward).
-      global_pool().parallel_for(
-          0, static_cast<std::size_t>(oh), row_grain(oh),
-          [&](std::size_t y0, std::size_t y1, unsigned /*lane*/) {
-            for (std::size_t y = y0; y < y1; ++y) {
-              float* col = cols.data() + y * ow * k;
-              for (int x = 0; x < ow; ++x) {
-                for (int ky = 0; ky < kh_; ++ky) {
-                  const int iy =
-                      static_cast<int>(y) * stride_ - pad_top + ky;
-                  float* dst =
-                      col + (static_cast<std::size_t>(ky) * kw_) * cin_;
-                  if (iy < 0 || iy >= h) {
-                    std::memset(dst, 0, static_cast<std::size_t>(kw_) * cin_ *
+    // im2col: one row of `cols` per output position. Output rows are
+    // disjoint `cols` slices, so the y loop parallelizes without
+    // synchronization (and runs inline when already inside a parallel
+    // region, e.g. a batched Graph::forward).
+    global_pool().parallel_for(
+        0, static_cast<std::size_t>(oh), row_grain(oh),
+        [&](std::size_t y0, std::size_t y1, unsigned /*lane*/) {
+          for (std::size_t y = y0; y < y1; ++y) {
+            float* col = cols.data() + y * ow * k;
+            for (int x = 0; x < ow; ++x) {
+              for (int ky = 0; ky < kh_; ++ky) {
+                const int iy =
+                    static_cast<int>(y) * stride_ - pad_top + ky;
+                float* dst =
+                    col + (static_cast<std::size_t>(ky) * kw_) * cin_;
+                if (iy < 0 || iy >= h) {
+                  std::memset(dst, 0, static_cast<std::size_t>(kw_) * cin_ *
+                                          sizeof(float));
+                  continue;
+                }
+                const int ix0 = x * stride_ - pad_left;
+                if (ix0 >= 0 && ix0 + kw_ <= w) {
+                  std::memcpy(dst, &in.at(img, iy, ix0, 0),
+                              static_cast<std::size_t>(kw_) * cin_ *
+                                  sizeof(float));
+                } else {
+                  for (int kx = 0; kx < kw_; ++kx) {
+                    const int ix = ix0 + kx;
+                    float* d = dst + static_cast<std::size_t>(kx) * cin_;
+                    if (ix < 0 || ix >= w) {
+                      std::memset(d, 0, static_cast<std::size_t>(cin_) *
                                             sizeof(float));
-                    continue;
-                  }
-                  const int ix0 = x * stride_ - pad_left;
-                  if (ix0 >= 0 && ix0 + kw_ <= w) {
-                    std::memcpy(dst, &in.at(img, iy, ix0, 0),
-                                static_cast<std::size_t>(kw_) * cin_ *
-                                    sizeof(float));
-                  } else {
-                    for (int kx = 0; kx < kw_; ++kx) {
-                      const int ix = ix0 + kx;
-                      float* d = dst + static_cast<std::size_t>(kx) * cin_;
-                      if (ix < 0 || ix >= w) {
-                        std::memset(d, 0, static_cast<std::size_t>(cin_) *
-                                              sizeof(float));
-                      } else {
-                        std::memcpy(d, &in.at(img, iy, ix, 0),
-                                    static_cast<std::size_t>(cin_) *
-                                        sizeof(float));
-                      }
+                    } else {
+                      std::memcpy(d, &in.at(img, iy, ix, 0),
+                                  static_cast<std::size_t>(cin_) *
+                                      sizeof(float));
                     }
                   }
                 }
-                col += k;
               }
+              col += k;
             }
-          });
-    }
+          }
+        });
     float* dst = &out.at(img, 0, 0, 0);
-    gemm(lhs, kernel.data(), dst,
+    gemm(cols.data(), kernel.data(), dst,
          static_cast<std::size_t>(oh) * ow, k,
          static_cast<std::size_t>(cout_));
-    if (!bias_.empty()) {
-      for (std::size_t pos = 0; pos < static_cast<std::size_t>(oh) * ow;
-           ++pos) {
-        float* row = dst + pos * cout_;
-        for (int co = 0; co < cout_; ++co) row[co] += bias_[co];
-      }
-    }
+    add_bias(dst, static_cast<std::size_t>(oh) * ow, bias_);
   }
+  return out;
+}
+
+Tensor Conv2D::forward(std::span<const Tensor* const> inputs,
+                       KernelSource& kernel) const {
+  if (!pointwise()) return Layer::forward(inputs, kernel);
+  const Tensor& in = single_input(inputs);
+  require_rank(in, 4, "Conv2D");
+  if (in.dim(3) != cin_) throw std::invalid_argument("Conv2D channel mismatch");
+  // A 1x1, stride-1 conv's im2col matrix is the NHWC input itself, so the
+  // whole batch is one product.
+  Tensor out({in.dim(0), in.dim(1), in.dim(2), cout_});
+  const std::size_t rows = static_cast<std::size_t>(in.dim(0)) * in.dim(1) *
+                           static_cast<std::size_t>(in.dim(2));
+  gemm_panels(in.raw(), rows, static_cast<std::size_t>(cin_),
+              static_cast<std::size_t>(cout_), kernel, out.raw());
+  add_bias(out.raw(), rows, bias_);
   return out;
 }
 
@@ -322,17 +396,21 @@ Dense::Dense(std::string name, int in_features, int out_features)
 
 Tensor Dense::forward(std::span<const Tensor* const> inputs,
                       std::span<const float> kernel) const {
+  SpanSource source(kernel);
+  return forward(inputs, source);
+}
+
+Tensor Dense::forward(std::span<const Tensor* const> inputs,
+                      KernelSource& kernel) const {
   const Tensor& in = single_input(inputs);
   require_rank(in, 2, "Dense");
   if (in.dim(1) != in_) throw std::invalid_argument("Dense feature mismatch");
   const int n = in.dim(0);
   Tensor out({n, out_});
-  gemm(in.raw(), kernel.data(), out.raw(), static_cast<std::size_t>(n),
-       static_cast<std::size_t>(in_), static_cast<std::size_t>(out_));
-  for (int i = 0; i < n; ++i) {
-    float* row = out.raw() + static_cast<std::size_t>(i) * out_;
-    for (int j = 0; j < out_; ++j) row[j] += bias_[j];
-  }
+  gemm_panels(in.raw(), static_cast<std::size_t>(n),
+              static_cast<std::size_t>(in_), static_cast<std::size_t>(out_),
+              kernel, out.raw());
+  add_bias(out.raw(), static_cast<std::size_t>(n), bias_);
   return out;
 }
 

@@ -10,11 +10,17 @@
 // forward() is inference-grade (im2col + GEMM for conv, GEMM for dense).
 // Layers with a kernel also run with a caller's kernel in its place, so a
 // sweep replays an approximated layer without writing to a shared model.
+// That kernel may be a span or a KernelSource, which hands it over in
+// ascending panels of whole rows: Dense and pointwise Conv2D multiply each
+// panel as it arrives, so a source that computes its kernel (the δ-sweep's
+// codec) never holds all of it.
 // backward() is implemented for the subset of layers LeNet-5 needs so the
 // in-repo SGD trainer can produce genuinely trained weights; the other
 // layers throw if asked to train.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -46,6 +52,26 @@ const char* layer_type_name(LayerType t) noexcept;
 
 enum class Padding { Valid, Same };
 
+/// Rows per panel of a streamed kernel (see KernelSource). 64 rows of
+/// VGG-16's 4096-wide dense_1 are 1 MB, so a panel stays in L2 while its
+/// GEMM reads it. A constant, never the thread count.
+inline constexpr std::size_t kPanelRows = 64;
+
+/// Receives one panel of a KernelSource.
+using PanelConsumer = std::function<void(std::span<const float>)>;
+
+/// A kernel read once, front to back, as consecutive panels of whole rows:
+/// rows of B in the layer's product C = A·B, `row_len` floats each.
+class KernelSource {
+ public:
+  virtual ~KernelSource() = default;
+  /// Floats in the whole kernel.
+  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
+  /// Hand the kernel to `consume` in order, in panels whose sizes are
+  /// multiples of `row_len`. Called at most once per pass.
+  virtual void stream(std::size_t row_len, const PanelConsumer& consume) = 0;
+};
+
 class Layer {
  public:
   explicit Layer(std::string name) : name_(std::move(name)) {}
@@ -67,6 +93,12 @@ class Layer {
   /// size. Layers without a kernel throw std::invalid_argument.
   [[nodiscard]] virtual Tensor forward(std::span<const Tensor* const> inputs,
                                        std::span<const float> kernel) const;
+
+  /// As above, with the kernel read from `kernel` panel by panel. Layers
+  /// that multiply panels as they come (Dense, pointwise Conv2D) override
+  /// this; the others gather the whole kernel first and run the span form.
+  [[nodiscard]] virtual Tensor forward(std::span<const Tensor* const> inputs,
+                                       KernelSource& kernel) const;
 
   /// The compressible weight succession (empty for parameterless layers).
   [[nodiscard]] virtual std::span<float> kernel() { return {}; }
@@ -128,6 +160,10 @@ class Conv2D final : public Layer {
   }
   [[nodiscard]] Tensor forward(std::span<const Tensor* const> inputs,
                                std::span<const float> kernel) const override;
+  /// A 1x1, stride-1 conv multiplies each panel as it comes; any other
+  /// shape gathers the whole kernel for im2col.
+  [[nodiscard]] Tensor forward(std::span<const Tensor* const> inputs,
+                               KernelSource& kernel) const override;
   [[nodiscard]] std::span<float> kernel() override { return kernel_; }
   [[nodiscard]] std::span<const float> kernel() const override {
     return kernel_;
@@ -150,6 +186,10 @@ class Conv2D final : public Layer {
   [[nodiscard]] Padding padding() const noexcept { return padding_; }
 
  private:
+  [[nodiscard]] bool pointwise() const noexcept {
+    return kh_ == 1 && kw_ == 1 && stride_ == 1;
+  }
+
   int cin_, cout_, kh_, kw_, stride_;
   Padding padding_;
   std::vector<float> kernel_;
@@ -208,6 +248,8 @@ class Dense final : public Layer {
   }
   [[nodiscard]] Tensor forward(std::span<const Tensor* const> inputs,
                                std::span<const float> kernel) const override;
+  [[nodiscard]] Tensor forward(std::span<const Tensor* const> inputs,
+                               KernelSource& kernel) const override;
   [[nodiscard]] std::span<float> kernel() override { return kernel_; }
   [[nodiscard]] std::span<const float> kernel() const override {
     return kernel_;

@@ -48,6 +48,37 @@ TEST(Codec, CompressIntoEmptyLayer) {
   EXPECT_EQ(st.mse(), 0.0);
 }
 
+// Constant weights make every segment 256 long, so with 37-float rows every
+// segment straddles a block boundary, and the staging buffer (one block
+// plus one segment) is filled to its end.
+TEST(Codec, CompressStreamMaxLengthSegmentsStraddleBlocks) {
+  const std::vector<float> w(64 * 37 * 5 + 11, 0.25F);
+  CodecConfig cfg;
+  cfg.delta_percent = 5.0;
+  cfg.length_bits = 8;
+  std::vector<float> want(w.size());
+  const CompressionStats ref = compress_into(w, cfg, 0.0, want);
+  EXPECT_EQ(ref.segment_count, (w.size() + 255) / 256);
+  std::vector<float> got;
+  std::size_t blocks = 0;
+  const CompressionStats st =
+      compress_stream(w, cfg, 0.0, 64 * 37, [&](std::span<const float> b) {
+        ++blocks;
+        got.insert(got.end(), b.begin(), b.end());
+      });
+  EXPECT_EQ(blocks, 6u);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(st.segment_count, ref.segment_count);
+  EXPECT_EQ(st.sse, ref.sse);
+}
+
+TEST(Codec, CompressStreamRejectsEmptyBlocks) {
+  const auto w = gaussian_weights(100, 48);
+  EXPECT_THROW(compress_stream(w, CodecConfig{}, value_range(w), 0,
+                               [](std::span<const float>) {}),
+               std::invalid_argument);
+}
+
 TEST(Codec, CompressIntoSizeMismatchThrows) {
   const auto w = gaussian_weights(100, 47);
   std::vector<float> shorter(99);
@@ -410,6 +441,57 @@ TEST_P(CodecDeltaSweep, CompressIntoMatchesCompressBitwise) {
       EXPECT_EQ(std::memcmp(&st.sse, &layer.sse, sizeof(double)), 0);
       EXPECT_EQ(st.config.coef_bits, layer.config.coef_bits);
       EXPECT_EQ(st.compressed_bits(), layer.compressed_bits());
+    }
+  }
+}
+
+/// compress_stream()'s blocks, checked to be `block` long but for a shorter
+/// last one, concatenated.
+std::vector<float> streamed(std::span<const float> w, const CodecConfig& cfg,
+                            double range, std::size_t block,
+                            CompressionStats& st) {
+  std::vector<float> out;
+  bool short_seen = false;
+  st = compress_stream(w, cfg, range, block, [&](std::span<const float> b) {
+    EXPECT_FALSE(short_seen) << "a short block before the end";
+    EXPECT_GT(b.size(), 0u);
+    EXPECT_LE(b.size(), block);
+    short_seen = b.size() < block;
+    out.insert(out.end(), b.begin(), b.end());
+  });
+  return out;
+}
+
+// The streamed form hands over compress_into()'s output in order, whatever
+// the block size: blocks shorter and longer than a 256-weight segment, one
+// weight, and one block for the whole layer or more. The statistics are
+// compress_into()'s bit for bit, the SSE included (one left fold in
+// element order either way).
+TEST_P(CodecDeltaSweep, CompressStreamBlocksConcatenateToCompressInto) {
+  const double delta = GetParam();
+  const auto w = gaussian_weights(20000, 52);
+  const double range = value_range(w);
+  for (unsigned length_bits : {8U, 4U}) {
+    CodecConfig cfg;
+    cfg.delta_percent = delta;
+    cfg.length_bits = length_bits;
+    std::vector<float> want(w.size());
+    const CompressionStats ref = compress_into(w, cfg, range, want);
+    for (const std::size_t block :
+         {std::size_t{1}, std::size_t{7}, std::size_t{255}, std::size_t{256},
+          std::size_t{257}, std::size_t{64 * 37}, w.size() - 1, w.size(),
+          w.size() + 5}) {
+      SCOPED_TRACE("length_bits " + std::to_string(length_bits) +
+                   " block " + std::to_string(block));
+      CompressionStats st;
+      const std::vector<float> got = streamed(w, cfg, range, block, st);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * 4), 0);
+      EXPECT_EQ(st.segment_count, ref.segment_count);
+      EXPECT_EQ(st.original_count, ref.original_count);
+      EXPECT_EQ(std::memcmp(&st.delta_abs, &ref.delta_abs, sizeof(double)),
+                0);
+      EXPECT_EQ(std::memcmp(&st.sse, &ref.sse, sizeof(double)), 0);
     }
   }
 }

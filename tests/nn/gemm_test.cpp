@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "gemm_reference.hpp"
 #include "nn/gemm_detail.hpp"
+#include "nn/layers.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace nocw::nn {
 namespace {
@@ -176,6 +180,51 @@ TEST(Gemv, Accumulate) {
   std::vector<float> y{100};
   gemm(a.data(), x.data(), y.data(), 1, 2, 1, /*accumulate=*/true);
   EXPECT_EQ(y[0], 111.0F);
+}
+
+// A layer fed by a KernelSource multiplies B one K-row panel at a time,
+// overwriting C with the first and accumulating the rest. That is the
+// one-call product bit for bit because every C element is the chain
+// c = c + a * b in ascending k: splitting K only stores and reloads c
+// between links. Slice widths straddle the kernel's 256-deep K panel and
+// include the streamed panel height; A's column slice is copied, as
+// gemm_panels does.
+TEST(Gemm, KSlicedAccumulateMatchesOneCall) {
+  constexpr std::size_t k = 520;
+  const unsigned before = global_thread_count();
+  Xoshiro256pp rng(311);
+  for (const unsigned threads : {1U, 2U, 8U}) {
+    set_global_threads(threads);
+    for (const std::size_t m : {1, 6, 7, 97}) {
+      for (const std::size_t n : {1, 8, 33, 4096}) {
+        const auto a = random_matrix(rng, m * k, 0.25);
+        const auto b = random_matrix(rng, k * n, 0.0);
+        std::vector<float> whole(m * n);
+        gemm(a.data(), b.data(), whole.data(), m, k, n);
+        for (const std::size_t width : {std::size_t{1}, std::size_t{7},
+                                        std::size_t{255}, std::size_t{256},
+                                        std::size_t{257}, kPanelRows}) {
+          std::vector<float> sliced(m * n, -1.0F);
+          std::vector<float> a_slice;
+          for (std::size_t k0 = 0; k0 < k; k0 += width) {
+            const std::size_t kp = std::min(width, k - k0);
+            a_slice.resize(m * kp);
+            for (std::size_t r = 0; r < m; ++r) {
+              std::copy_n(a.begin() + static_cast<std::ptrdiff_t>(r * k + k0),
+                          kp, a_slice.begin() +
+                                  static_cast<std::ptrdiff_t>(r * kp));
+            }
+            gemm(a_slice.data(), b.data() + k0 * n, sliced.data(), m, kp, n,
+                 /*accumulate=*/k0 > 0);
+          }
+          ASSERT_TRUE(bitwise_equal(sliced, whole))
+              << "threads " << threads << " m " << m << " n " << n
+              << " slice " << width;
+        }
+      }
+    }
+  }
+  set_global_threads(before);
 }
 
 TEST(Gemm, EmptyKZeroesOrKeepsC) {

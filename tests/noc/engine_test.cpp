@@ -7,6 +7,8 @@
 // (NOCW_THREADS). These tests are the gate.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -19,6 +21,31 @@
 
 namespace nocw::noc {
 namespace {
+
+/// Sets (or, with nullptr, unsets) NOCW_NOC_ENGINE for one scope and puts
+/// back whatever the process had, so a test that compares engines means the
+/// engines it names even when the suite runs under the override.
+class ScopedEngineEnv {
+ public:
+  explicit ScopedEngineEnv(const char* value) {
+    if (const char* old = std::getenv(kName)) saved_ = old;
+    set(value);
+  }
+  ~ScopedEngineEnv() { set(saved_ ? saved_->c_str() : nullptr); }
+  ScopedEngineEnv(const ScopedEngineEnv&) = delete;
+  ScopedEngineEnv& operator=(const ScopedEngineEnv&) = delete;
+
+ private:
+  static constexpr const char* kName = "NOCW_NOC_ENGINE";
+  static void set(const char* value) {
+    if (value == nullptr) {
+      ::unsetenv(kName);
+    } else {
+      ::setenv(kName, value, 1);
+    }
+  }
+  std::optional<std::string> saved_;
+};
 
 void expect_identical(const NocStats& a, const NocStats& b) {
   EXPECT_EQ(a.cycles, b.cycles);
@@ -128,6 +155,7 @@ TEST(NocEngine, TimeSeriesIdenticalAcrossEngines) {
 }
 
 TEST(NocEngine, IdleJumpSkipsReleaseGapsWithIdenticalStats) {
+  const ScopedEngineEnv unset(nullptr);
   const auto run_gap = [](EngineMode engine) {
     NocConfig cfg;
     cfg.engine = engine;
@@ -149,8 +177,25 @@ TEST(NocEngine, IdleJumpSkipsReleaseGapsWithIdenticalStats) {
 }
 
 TEST(NocEngine, EnvOverrideSelectsEngine) {
-  EXPECT_EQ(engine_from_env(EngineMode::Event), EngineMode::Event);
-  EXPECT_EQ(engine_from_env(EngineMode::Dense), EngineMode::Dense);
+  for (const EngineMode configured : {EngineMode::Dense, EngineMode::Event}) {
+    {
+      const ScopedEngineEnv unset(nullptr);
+      EXPECT_EQ(engine_from_env(configured), configured);
+    }
+    {
+      const ScopedEngineEnv dense("dense");
+      EXPECT_EQ(engine_from_env(configured), EngineMode::Dense);
+    }
+    {
+      const ScopedEngineEnv event("event");
+      EXPECT_EQ(engine_from_env(configured), EngineMode::Event);
+    }
+    {
+      // An unknown value keeps the configured engine.
+      const ScopedEngineEnv unknown("sparse");
+      EXPECT_EQ(engine_from_env(configured), configured);
+    }
+  }
 }
 
 TEST(NocEngine, DrainTimeoutNamesOffendingPacket) {
