@@ -1,5 +1,6 @@
 #include "nn/graph.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -146,12 +147,25 @@ Tensor Graph::walk(const Tensor& input, int from, KernelOverride kernel,
             "forward_tail: node depends on an uncaptured prefix output");
       }
     }
-    if (i != kernel.node) {
-      outputs[i] = n.layer->forward(ins);
-    } else if (kernel.source) {
+    const std::span<const float> k =
+        i == kernel.node ? kernel.kernel : std::span<const float>{};
+    // The first producer's tensor moves into the layer when this node is
+    // its only remaining reader: walk made it (it is not the caller's input
+    // or captured tensor), no later node reads it, and this node reads it
+    // once.
+    const int first = n.inputs.empty() ? -1 : n.inputs[0];
+    const bool hand_over =
+        first >= from && last[first] == i &&
+        std::count(n.inputs.begin(), n.inputs.end(), first) == 1;
+    if (i == kernel.node && kernel.source) {
       outputs[i] = n.layer->forward(ins, *kernel.source);
+    } else if (hand_over) {
+      outputs[i] = n.layer->forward_owned(std::move(outputs[first]),
+                                          std::span(ins).subspan(1), k);
+    } else if (!k.empty()) {
+      outputs[i] = n.layer->forward(ins, k);
     } else {
-      outputs[i] = n.layer->forward(ins, kernel.kernel);
+      outputs[i] = n.layer->forward(ins);
     }
     if (i == keep) *kept = outputs[i];
     // Release producers that no later node consumes (activation footprint of

@@ -90,7 +90,10 @@ class Graph {
   /// The one pass behind every forward: runs nodes [from, end). With
   /// from == 0 `input` feeds the input node; otherwise it stands in for the
   /// output of node `from`'s single producer. When `keep` is a node index,
-  /// a copy of that node's output lands in `*kept`.
+  /// a copy of that node's output lands in `*kept`. A node is handed its
+  /// first producer's output (Layer::forward_owned) when the pass made it,
+  /// no later node reads it and the node reads it once; `input` is never
+  /// handed over.
   [[nodiscard]] Tensor walk(const Tensor& input, int from,
                             KernelOverride kernel, int keep = -1,
                             Tensor* kept = nullptr) const;

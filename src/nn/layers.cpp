@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "nn/gemm.hpp"
 #include "util/check.hpp"
@@ -43,11 +44,24 @@ int same_pad_total(int in, int window, int stride) noexcept {
 
 namespace {
 
-const Tensor& single_input(std::span<const Tensor* const> inputs) {
-  if (inputs.size() != 1 || inputs[0] == nullptr) {
-    throw std::invalid_argument("layer expects exactly one input");
+const Tensor& first_input(std::span<const Tensor* const> inputs) {
+  if (inputs.empty() || inputs[0] == nullptr) {
+    throw std::invalid_argument("layer expects an input");
   }
   return *inputs[0];
+}
+
+/// For layers with one input: nothing may follow the first.
+void require_no_rest(std::span<const Tensor* const> rest) {
+  if (!rest.empty()) {
+    throw std::invalid_argument("layer expects exactly one input");
+  }
+}
+
+const Tensor& single_input(std::span<const Tensor* const> inputs) {
+  const Tensor& in = first_input(inputs);
+  require_no_rest(inputs.subspan(1));
+  return in;
 }
 
 void require_rank(const Tensor& t, int rank, const char* what) {
@@ -61,10 +75,29 @@ void require_rank(const Tensor& t, int rank, const char* what) {
 /// Chunk size for parallelizing a conv's output-row loop: coarse enough to
 /// amortize dispatch, fine enough to balance. Chunk boundaries never affect
 /// results (each output row is written by exactly one chunk).
-std::size_t row_grain(int rows) {
+std::size_t row_grain(std::size_t rows) {
   const unsigned lanes = global_thread_count();
-  return std::max<std::size_t>(
-      1, static_cast<std::size_t>(rows) / (static_cast<std::size_t>(lanes) * 4));
+  return std::max<std::size_t>(1,
+                               rows / (static_cast<std::size_t>(lanes) * 4));
+}
+
+/// Fewest floats one chunk of an elementwise, bias or pooling pass covers,
+/// so a small tensor (LeNet-5's, a softmax row) runs inline instead of
+/// paying for a pool dispatch.
+constexpr std::size_t kMinChunkFloats = std::size_t{1} << 16;
+
+/// body(r0, r1) over rows [0, rows) of `row_floats` floats each, on the
+/// global pool. Each row is written by one chunk and its arithmetic does not
+/// depend on where chunks start, so results are bit-identical for any
+/// thread count.
+template <class Body>
+void for_rows(std::size_t rows, std::size_t row_floats, const Body& body) {
+  const std::size_t min_rows =
+      std::max<std::size_t>(1, kMinChunkFloats / std::max<std::size_t>(
+                                                      row_floats, 1));
+  global_pool().parallel_for(
+      0, rows, std::max(min_rows, row_grain(rows)),
+      [&](std::size_t r0, std::size_t r1, unsigned /*lane*/) { body(r0, r1); });
 }
 
 /// A kernel in memory as a source: one panel, the whole span.
@@ -92,18 +125,24 @@ class SpanSource final : public KernelSource {
 void gemm_panels(const float* a, std::size_t m, std::size_t k, std::size_t n,
                  KernelSource& source, float* c) {
   if (n == 0) return;
-  std::vector<float> slice;
+  if (k == 0) {  // no panel to write C
+    std::fill_n(c, m * n, 0.0F);
+    return;
+  }
+  Tensor slice;
   std::size_t k0 = 0;
   source.stream(n, [&](std::span<const float> panel) {
     const std::size_t kp = panel.size() / n;
     NOCW_CHECK(kp * n == panel.size() && kp <= k - k0);
     const float* ap = a;
     if (kp != k) {
-      slice.resize(m * kp);
-      for (std::size_t r = 0; r < m; ++r) {
-        std::memcpy(slice.data() + r * kp, a + r * k + k0, kp * sizeof(float));
+      if (slice.size() < m * kp) {
+        slice = Tensor::unfilled({static_cast<int>(m), static_cast<int>(kp)});
       }
-      ap = slice.data();
+      for (std::size_t r = 0; r < m; ++r) {
+        std::memcpy(slice.raw() + r * kp, a + r * k + k0, kp * sizeof(float));
+      }
+      ap = slice.raw();
     }
     gemm(ap, panel.data(), c, m, kp, n, /*accumulate=*/k0 > 0);
     k0 += kp;
@@ -113,10 +152,13 @@ void gemm_panels(const float* a, std::size_t m, std::size_t k, std::size_t n,
 
 /// row[j] += bias[j] for each of `rows` rows of bias.size() floats at `c`.
 void add_bias(float* c, std::size_t rows, std::span<const float> bias) {
-  for (std::size_t r = 0; r < rows && !bias.empty(); ++r) {
-    float* row = c + r * bias.size();
-    for (std::size_t j = 0; j < bias.size(); ++j) row[j] += bias[j];
-  }
+  if (bias.empty()) return;
+  for_rows(rows, bias.size(), [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      float* row = c + r * bias.size();
+      for (std::size_t j = 0; j < bias.size(); ++j) row[j] += bias[j];
+    }
+  });
 }
 
 }  // namespace
@@ -128,14 +170,37 @@ Tensor Layer::forward(std::span<const Tensor* const> /*inputs*/,
 
 Tensor Layer::forward(std::span<const Tensor* const> inputs,
                       KernelSource& kernel) const {
-  std::vector<float> whole(kernel.size());
+  Tensor whole = Tensor::unfilled({static_cast<int>(kernel.size())});
   std::size_t at = 0;
   kernel.stream(1, [&](std::span<const float> panel) {
     NOCW_CHECK(panel.size() <= whole.size() - at);
-    std::copy(panel.begin(), panel.end(), whole.begin() + at);
+    std::copy(panel.begin(), panel.end(), whole.raw() + at);
     at += panel.size();
   });
-  return forward(inputs, std::span<const float>(whole));
+  NOCW_CHECK_EQ(at, whole.size());
+  return forward(inputs, std::as_const(whole).data());
+}
+
+Tensor Layer::forward_owned(Tensor&& first,
+                            std::span<const Tensor* const> rest,
+                            std::span<const float> kernel) const {
+  std::vector<const Tensor*> inputs{&first};
+  inputs.insert(inputs.end(), rest.begin(), rest.end());
+  return kernel.empty() ? forward(inputs) : forward(inputs, kernel);
+}
+
+Tensor InPlaceLayer::forward(std::span<const Tensor* const> inputs) const {
+  return apply(first_input(inputs), inputs.subspan(1), {});
+}
+
+Tensor InPlaceLayer::forward_owned(Tensor&& first,
+                                   std::span<const Tensor* const> rest,
+                                   std::span<const float> kernel) const {
+  if (!kernel.empty() && this->kernel().empty()) {
+    // Layer::forward(inputs, kernel) throws for a layer without a kernel.
+    return Layer::forward_owned(std::move(first), rest, kernel);
+  }
+  return apply(std::move(first), rest, kernel);
 }
 
 // --- InputLayer ------------------------------------------------------------
@@ -182,11 +247,17 @@ Tensor Conv2D::forward(std::span<const Tensor* const> inputs,
   const int pad_left =
       padding_ == Padding::Same ? same_pad_total(w, kw_, stride_) / 2 : 0;
 
-  Tensor out({n, oh, ow, cout_});
+  Tensor out = Tensor::unfilled({n, oh, ow, cout_});
   const std::size_t k = static_cast<std::size_t>(kh_) * kw_ * cin_;
-  std::vector<float> cols(static_cast<std::size_t>(oh) * ow * k);
+  const std::size_t positions = static_cast<std::size_t>(oh) * ow;
+  // Every element of `cols` and `out` is written (im2col pads with explicit
+  // zeros; gemm overwrites C) before it is read.
+  Tensor cols = Tensor::unfilled({oh * ow, static_cast<int>(k)});
+  const std::size_t in_pixel = static_cast<std::size_t>(cin_);
+  const std::size_t in_image = static_cast<std::size_t>(h) * w * in_pixel;
 
   for (int img = 0; img < n; ++img) {
+    const float* src = in.raw() + static_cast<std::size_t>(img) * in_image;
     // im2col: one row of `cols` per output position. Output rows are
     // disjoint `cols` slices, so the y loop parallelizes without
     // synchronization (and runs inline when already inside a parallel
@@ -195,7 +266,7 @@ Tensor Conv2D::forward(std::span<const Tensor* const> inputs,
         0, static_cast<std::size_t>(oh), row_grain(oh),
         [&](std::size_t y0, std::size_t y1, unsigned /*lane*/) {
           for (std::size_t y = y0; y < y1; ++y) {
-            float* col = cols.data() + y * ow * k;
+            float* col = cols.raw() + y * ow * k;
             for (int x = 0; x < ow; ++x) {
               for (int ky = 0; ky < kh_; ++ky) {
                 const int iy =
@@ -208,8 +279,10 @@ Tensor Conv2D::forward(std::span<const Tensor* const> inputs,
                   continue;
                 }
                 const int ix0 = x * stride_ - pad_left;
+                const float* row =
+                    src + static_cast<std::size_t>(iy) * w * in_pixel;
                 if (ix0 >= 0 && ix0 + kw_ <= w) {
-                  std::memcpy(dst, &in.at(img, iy, ix0, 0),
+                  std::memcpy(dst, row + ix0 * in_pixel,
                               static_cast<std::size_t>(kw_) * cin_ *
                                   sizeof(float));
                 } else {
@@ -220,7 +293,7 @@ Tensor Conv2D::forward(std::span<const Tensor* const> inputs,
                       std::memset(d, 0, static_cast<std::size_t>(cin_) *
                                             sizeof(float));
                     } else {
-                      std::memcpy(d, &in.at(img, iy, ix, 0),
+                      std::memcpy(d, row + ix * in_pixel,
                                   static_cast<std::size_t>(cin_) *
                                       sizeof(float));
                     }
@@ -231,12 +304,11 @@ Tensor Conv2D::forward(std::span<const Tensor* const> inputs,
             }
           }
         });
-    float* dst = &out.at(img, 0, 0, 0);
-    gemm(cols.data(), kernel.data(), dst,
-         static_cast<std::size_t>(oh) * ow, k,
-         static_cast<std::size_t>(cout_));
-    add_bias(dst, static_cast<std::size_t>(oh) * ow, bias_);
+    gemm(cols.raw(), kernel.data(),
+         out.raw() + static_cast<std::size_t>(img) * positions * cout_,
+         positions, k, static_cast<std::size_t>(cout_));
   }
+  add_bias(out.raw(), static_cast<std::size_t>(n) * positions, bias_);
   return out;
 }
 
@@ -248,7 +320,7 @@ Tensor Conv2D::forward(std::span<const Tensor* const> inputs,
   if (in.dim(3) != cin_) throw std::invalid_argument("Conv2D channel mismatch");
   // A 1x1, stride-1 conv's im2col matrix is the NHWC input itself, so the
   // whole batch is one product.
-  Tensor out({in.dim(0), in.dim(1), in.dim(2), cout_});
+  Tensor out = Tensor::unfilled({in.dim(0), in.dim(1), in.dim(2), cout_});
   const std::size_t rows = static_cast<std::size_t>(in.dim(0)) * in.dim(1) *
                            static_cast<std::size_t>(in.dim(2));
   gemm_panels(in.raw(), rows, static_cast<std::size_t>(cin_),
@@ -349,41 +421,44 @@ Tensor DepthwiseConv2D::forward(std::span<const Tensor* const> inputs,
   const int pad_left =
       padding_ == Padding::Same ? same_pad_total(w, kw_, stride_) / 2 : 0;
 
-  Tensor out({n, oh, ow, channels_});
-  for (int img = 0; img < n; ++img) {
-    // Each output row is written by exactly one chunk: safe, bit-exact
-    // parallelism (per-pixel accumulation order is unchanged).
-    global_pool().parallel_for(
-        0, static_cast<std::size_t>(oh), row_grain(oh),
-        [&](std::size_t y0, std::size_t y1, unsigned /*lane*/) {
-          for (std::size_t yz = y0; yz < y1; ++yz) {
-            const int y = static_cast<int>(yz);
-            for (int x = 0; x < ow; ++x) {
-              float* o = &out.at(img, y, x, 0);
-              if (bias_.empty()) {
-                for (int ci = 0; ci < channels_; ++ci) o[ci] = 0.0F;
-              } else {
-                for (int ci = 0; ci < channels_; ++ci) o[ci] = bias_[ci];
-              }
-              for (int ky = 0; ky < kh_; ++ky) {
-                const int iy = y * stride_ - pad_top + ky;
-                if (iy < 0 || iy >= h) continue;
-                for (int kx = 0; kx < kw_; ++kx) {
-                  const int ix = x * stride_ - pad_left + kx;
-                  if (ix < 0 || ix >= w) continue;
-                  const float* iv = &in.at(img, iy, ix, 0);
-                  const float* kv =
-                      kernel.data() +
-                      (static_cast<std::size_t>(ky) * kw_ + kx) * channels_;
-                  for (int ci = 0; ci < channels_; ++ci) {
-                    o[ci] += iv[ci] * kv[ci];
-                  }
+  // Every output pixel starts from its bias (or zero) below.
+  Tensor out = Tensor::unfilled({n, oh, ow, channels_});
+  const std::size_t cs = static_cast<std::size_t>(channels_);
+  const std::size_t rows = static_cast<std::size_t>(n) * oh;
+  // Each output row is written by exactly one chunk: safe, bit-exact
+  // parallelism (per-pixel accumulation order is unchanged).
+  global_pool().parallel_for(
+      0, rows, row_grain(rows),
+      [&](std::size_t r0, std::size_t r1, unsigned /*lane*/) {
+        for (std::size_t r = r0; r < r1; ++r) {
+          const int y = static_cast<int>(r % oh);
+          const float* src = in.raw() + r / oh * h * w * cs;
+          for (int x = 0; x < ow; ++x) {
+            float* o = out.raw() + (r * ow + x) * cs;
+            if (bias_.empty()) {
+              for (std::size_t ci = 0; ci < cs; ++ci) o[ci] = 0.0F;
+            } else {
+              for (std::size_t ci = 0; ci < cs; ++ci) o[ci] = bias_[ci];
+            }
+            for (int ky = 0; ky < kh_; ++ky) {
+              const int iy = y * stride_ - pad_top + ky;
+              if (iy < 0 || iy >= h) continue;
+              for (int kx = 0; kx < kw_; ++kx) {
+                const int ix = x * stride_ - pad_left + kx;
+                if (ix < 0 || ix >= w) continue;
+                const float* iv =
+                    src + (static_cast<std::size_t>(iy) * w + ix) * cs;
+                const float* kv =
+                    kernel.data() +
+                    (static_cast<std::size_t>(ky) * kw_ + kx) * cs;
+                for (std::size_t ci = 0; ci < cs; ++ci) {
+                  o[ci] += iv[ci] * kv[ci];
                 }
               }
             }
           }
-        });
-  }
+        }
+      });
   return out;
 }
 
@@ -406,7 +481,7 @@ Tensor Dense::forward(std::span<const Tensor* const> inputs,
   require_rank(in, 2, "Dense");
   if (in.dim(1) != in_) throw std::invalid_argument("Dense feature mismatch");
   const int n = in.dim(0);
-  Tensor out({n, out_});
+  Tensor out = Tensor::unfilled({n, out_});
   gemm_panels(in.raw(), static_cast<std::size_t>(n),
               static_cast<std::size_t>(in_), static_cast<std::size_t>(out_),
               kernel, out.raw());
@@ -471,12 +546,17 @@ Tensor MaxPool::forward(std::span<const Tensor* const> inputs) const {
       padding_ == Padding::Same ? same_pad_total(h, pool_, stride_) / 2 : 0;
   const int pad_left =
       padding_ == Padding::Same ? same_pad_total(w, pool_, stride_) / 2 : 0;
-  Tensor out({n, oh, ow, c});
-  for (int img = 0; img < n; ++img) {
-    for (int y = 0; y < oh; ++y) {
+  // Every output pixel starts from -inf below.
+  Tensor out = Tensor::unfilled({n, oh, ow, c});
+  const std::size_t cs = static_cast<std::size_t>(c);
+  for_rows(static_cast<std::size_t>(n) * oh, static_cast<std::size_t>(ow) * cs,
+           [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      const int y = static_cast<int>(r % oh);
+      const float* src = in.raw() + r / oh * h * w * cs;
       for (int x = 0; x < ow; ++x) {
-        float* o = &out.at(img, y, x, 0);
-        for (int ci = 0; ci < c; ++ci) {
+        float* o = out.raw() + (r * ow + x) * cs;
+        for (std::size_t ci = 0; ci < cs; ++ci) {
           o[ci] = -std::numeric_limits<float>::infinity();
         }
         for (int ky = 0; ky < pool_; ++ky) {
@@ -485,13 +565,16 @@ Tensor MaxPool::forward(std::span<const Tensor* const> inputs) const {
           for (int kx = 0; kx < pool_; ++kx) {
             const int ix = x * stride_ - pad_left + kx;
             if (ix < 0 || ix >= w) continue;
-            const float* iv = &in.at(img, iy, ix, 0);
-            for (int ci = 0; ci < c; ++ci) o[ci] = std::max(o[ci], iv[ci]);
+            const float* iv =
+                src + (static_cast<std::size_t>(iy) * w + ix) * cs;
+            for (std::size_t ci = 0; ci < cs; ++ci) {
+              o[ci] = std::max(o[ci], iv[ci]);
+            }
           }
         }
       }
     }
-  }
+  });
   return out;
 }
 
@@ -543,11 +626,15 @@ Tensor AvgPool::forward(std::span<const Tensor* const> inputs) const {
       padding_ == Padding::Same ? same_pad_total(h, pool_, stride_) / 2 : 0;
   const int pad_left =
       padding_ == Padding::Same ? same_pad_total(w, pool_, stride_) / 2 : 0;
-  Tensor out({n, oh, ow, c});
-  for (int img = 0; img < n; ++img) {
-    for (int y = 0; y < oh; ++y) {
+  Tensor out({n, oh, ow, c});  // zeroed: each pixel sums into it
+  const std::size_t cs = static_cast<std::size_t>(c);
+  for_rows(static_cast<std::size_t>(n) * oh, static_cast<std::size_t>(ow) * cs,
+           [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      const int y = static_cast<int>(r % oh);
+      const float* src = in.raw() + r / oh * h * w * cs;
       for (int x = 0; x < ow; ++x) {
-        float* o = &out.at(img, y, x, 0);
+        float* o = out.raw() + (r * ow + x) * cs;
         int valid = 0;
         for (int ky = 0; ky < pool_; ++ky) {
           const int iy = y * stride_ - pad_top + ky;
@@ -556,15 +643,16 @@ Tensor AvgPool::forward(std::span<const Tensor* const> inputs) const {
             const int ix = x * stride_ - pad_left + kx;
             if (ix < 0 || ix >= w) continue;
             ++valid;
-            const float* iv = &in.at(img, iy, ix, 0);
-            for (int ci = 0; ci < c; ++ci) o[ci] += iv[ci];
+            const float* iv =
+                src + (static_cast<std::size_t>(iy) * w + ix) * cs;
+            for (std::size_t ci = 0; ci < cs; ++ci) o[ci] += iv[ci];
           }
         }
         const float inv = valid > 0 ? 1.0F / static_cast<float>(valid) : 0.0F;
-        for (int ci = 0; ci < c; ++ci) o[ci] *= inv;
+        for (std::size_t ci = 0; ci < cs; ++ci) o[ci] *= inv;
       }
     }
-  }
+  });
   return out;
 }
 
@@ -572,27 +660,34 @@ Tensor GlobalAvgPool::forward(std::span<const Tensor* const> inputs) const {
   const Tensor& in = single_input(inputs);
   require_rank(in, 4, "GlobalAvgPool");
   const int n = in.dim(0), h = in.dim(1), w = in.dim(2), c = in.dim(3);
-  Tensor out({n, c});
+  Tensor out({n, c});  // zeroed: each image sums into its row
   const float inv = 1.0F / static_cast<float>(h * w);
-  for (int img = 0; img < n; ++img) {
-    float* o = out.raw() + static_cast<std::size_t>(img) * c;
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) {
-        const float* iv = &in.at(img, y, x, 0);
-        for (int ci = 0; ci < c; ++ci) o[ci] += iv[ci];
+  const std::size_t cs = static_cast<std::size_t>(c);
+  const std::size_t pixels = static_cast<std::size_t>(h) * w;
+  for_rows(static_cast<std::size_t>(n), pixels * cs,
+           [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t img = i0; img < i1; ++img) {
+      float* o = out.raw() + img * cs;
+      const float* iv = in.raw() + img * pixels * cs;
+      for (std::size_t p = 0; p < pixels; ++p, iv += cs) {
+        for (std::size_t ci = 0; ci < cs; ++ci) o[ci] += iv[ci];
       }
+      for (std::size_t ci = 0; ci < cs; ++ci) o[ci] *= inv;
     }
-    for (int ci = 0; ci < c; ++ci) o[ci] *= inv;
-  }
+  });
   return out;
 }
 
 // --- Activations ---------------------------------------------------------------
 
-Tensor ReLU::forward(std::span<const Tensor* const> inputs) const {
-  Tensor out = single_input(inputs);
-  for (auto& v : out.data()) v = std::max(v, 0.0F);
-  return out;
+Tensor ReLU::apply(Tensor x, std::span<const Tensor* const> rest,
+                   std::span<const float> /*kernel*/) const {
+  require_no_rest(rest);
+  float* d = x.raw();
+  for_rows(x.size(), 1, [d](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) d[i] = std::max(d[i], 0.0F);
+  });
+  return x;
 }
 
 std::vector<Tensor> ReLU::backward(std::span<const Tensor* const> inputs,
@@ -609,19 +704,23 @@ std::vector<Tensor> ReLU::backward(std::span<const Tensor* const> inputs,
   return grads;
 }
 
-Tensor ReLU6::forward(std::span<const Tensor* const> inputs) const {
-  Tensor out = single_input(inputs);
-  for (auto& v : out.data()) v = std::clamp(v, 0.0F, 6.0F);
-  return out;
+Tensor ReLU6::apply(Tensor x, std::span<const Tensor* const> rest,
+                    std::span<const float> /*kernel*/) const {
+  require_no_rest(rest);
+  float* d = x.raw();
+  for_rows(x.size(), 1, [d](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) d[i] = std::clamp(d[i], 0.0F, 6.0F);
+  });
+  return x;
 }
 
-Tensor Softmax::forward(std::span<const Tensor* const> inputs) const {
-  const Tensor& in = single_input(inputs);
-  require_rank(in, 2, "Softmax");
-  Tensor out = in;
-  const int n = in.dim(0), c = in.dim(1);
+Tensor Softmax::apply(Tensor x, std::span<const Tensor* const> rest,
+                      std::span<const float> /*kernel*/) const {
+  require_no_rest(rest);
+  require_rank(x, 2, "Softmax");
+  const int n = x.dim(0), c = x.dim(1);
   for (int img = 0; img < n; ++img) {
-    float* row = out.raw() + static_cast<std::size_t>(img) * c;
+    float* row = x.raw() + static_cast<std::size_t>(img) * c;
     float mx = row[0];
     for (int j = 1; j < c; ++j) mx = std::max(mx, row[j]);
     float sum = 0.0F;
@@ -632,26 +731,28 @@ Tensor Softmax::forward(std::span<const Tensor* const> inputs) const {
     const float inv = 1.0F / sum;
     for (int j = 0; j < c; ++j) row[j] *= inv;
   }
-  return out;
+  return x;
 }
 
 // --- Shape ops --------------------------------------------------------------
 
-Tensor Reshape::forward(std::span<const Tensor* const> inputs) const {
-  Tensor out = single_input(inputs);
+Tensor Reshape::apply(Tensor x, std::span<const Tensor* const> rest,
+                      std::span<const float> /*kernel*/) const {
+  require_no_rest(rest);
   std::vector<int> shape;
-  shape.push_back(out.dim(0));
+  shape.push_back(x.dim(0));
   shape.insert(shape.end(), per_sample_.begin(), per_sample_.end());
-  out.reshape(std::move(shape));
-  return out;
+  x.reshape(std::move(shape));
+  return x;
 }
 
-Tensor Flatten::forward(std::span<const Tensor* const> inputs) const {
-  Tensor out = single_input(inputs);
-  const int n = out.dim(0);
-  const int features = static_cast<int>(out.size()) / std::max(n, 1);
-  out.reshape({n, features});
-  return out;
+Tensor Flatten::apply(Tensor x, std::span<const Tensor* const> rest,
+                      std::span<const float> /*kernel*/) const {
+  require_no_rest(rest);
+  const int n = x.dim(0);
+  const int features = static_cast<int>(x.size()) / std::max(n, 1);
+  x.reshape({n, features});
+  return x;
 }
 
 std::vector<Tensor> Flatten::backward(std::span<const Tensor* const> inputs,
@@ -667,7 +768,7 @@ std::vector<Tensor> Flatten::backward(std::span<const Tensor* const> inputs,
 // --- BatchNorm ---------------------------------------------------------------
 
 BatchNorm::BatchNorm(std::string name, int channels, float epsilon)
-    : Layer(std::move(name)), eps_(epsilon),
+    : InPlaceLayer(std::move(name)), eps_(epsilon),
       gamma_(static_cast<std::size_t>(channels), 1.0F),
       beta_(static_cast<std::size_t>(channels), 0.0F),
       mean_(static_cast<std::size_t>(channels), 0.0F),
@@ -675,8 +776,15 @@ BatchNorm::BatchNorm(std::string name, int channels, float epsilon)
 
 Tensor BatchNorm::forward(std::span<const Tensor* const> inputs,
                          std::span<const float> kernel) const {
-  Tensor out = single_input(inputs);
-  const int c = out.shape().back();
+  return apply(first_input(inputs), inputs.subspan(1), kernel);
+}
+
+Tensor BatchNorm::apply(Tensor x, std::span<const Tensor* const> rest,
+                        std::span<const float> kernel) const {
+  require_no_rest(rest);
+  const std::span<const float> gamma =
+      kernel.empty() ? std::span<const float>(gamma_) : kernel;
+  const int c = x.shape().back();
   if (static_cast<std::size_t>(c) != gamma_.size()) {
     throw std::invalid_argument("BatchNorm channel mismatch");
   }
@@ -684,36 +792,42 @@ Tensor BatchNorm::forward(std::span<const Tensor* const> inputs,
   std::vector<float> scale(gamma_.size());
   std::vector<float> shift(gamma_.size());
   for (std::size_t i = 0; i < gamma_.size(); ++i) {
-    scale[i] = kernel[i] / std::sqrt(var_[i] + eps_);
+    scale[i] = gamma[i] / std::sqrt(var_[i] + eps_);
     shift[i] = beta_[i] - mean_[i] * scale[i];
   }
   // NHWC: channels are innermost, so walk positions x channels.
   const std::size_t channels = gamma_.size();
-  if (channels == 0) return out;
-  auto d = out.data();
-  for (std::size_t p = 0; p < d.size(); p += channels) {
-    for (std::size_t ch = 0; ch < channels; ++ch) {
-      d[p + ch] = d[p + ch] * scale[ch] + shift[ch];
+  if (channels == 0) return x;
+  float* d = x.raw();
+  for_rows(x.size() / channels, channels, [&](std::size_t p0, std::size_t p1) {
+    for (std::size_t p = p0; p < p1; ++p) {
+      float* px = d + p * channels;
+      for (std::size_t ch = 0; ch < channels; ++ch) {
+        px[ch] = px[ch] * scale[ch] + shift[ch];
+      }
     }
-  }
-  return out;
+  });
+  return x;
 }
 
 // --- Merging ------------------------------------------------------------------
 
-Tensor Add::forward(std::span<const Tensor* const> inputs) const {
-  if (inputs.size() < 2) throw std::invalid_argument("Add needs >= 2 inputs");
-  Tensor out = *inputs[0];
-  for (std::size_t k = 1; k < inputs.size(); ++k) {
-    const Tensor& rhs = *inputs[k];
-    if (rhs.shape() != out.shape()) {
+Tensor Add::apply(Tensor x, std::span<const Tensor* const> rest,
+                  std::span<const float> /*kernel*/) const {
+  if (rest.empty()) throw std::invalid_argument("Add needs >= 2 inputs");
+  for (const Tensor* rhs : rest) {
+    if (rhs->shape() != x.shape()) {
       throw std::invalid_argument("Add shape mismatch");
     }
-    auto o = out.data();
-    auto r = rhs.data();
-    for (std::size_t i = 0; i < o.size(); ++i) o[i] += r[i];
   }
-  return out;
+  float* o = x.raw();
+  for_rows(x.size(), 1, [&](std::size_t i0, std::size_t i1) {
+    for (const Tensor* rhs : rest) {
+      const float* r = rhs->raw();
+      for (std::size_t i = i0; i < i1; ++i) o[i] += r[i];
+    }
+  });
+  return x;
 }
 
 Tensor Concat::forward(std::span<const Tensor* const> inputs) const {
@@ -729,20 +843,20 @@ Tensor Concat::forward(std::span<const Tensor* const> inputs) const {
     }
     total_c += t->dim(3);
   }
-  Tensor out({n, h, w, total_c});
-  for (int img = 0; img < n; ++img) {
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) {
-        float* o = &out.at(img, y, x, 0);
-        for (const Tensor* t : inputs) {
-          const int c = t->dim(3);
-          std::memcpy(o, &t->at(img, y, x, 0),
-                      static_cast<std::size_t>(c) * sizeof(float));
-          o += c;
-        }
+  // Every output pixel is the inputs' pixels back to back.
+  Tensor out = Tensor::unfilled({n, h, w, total_c});
+  for_rows(static_cast<std::size_t>(n) * h,
+           static_cast<std::size_t>(w) * total_c,
+           [&](std::size_t r0, std::size_t r1) {
+    float* o = out.raw() + r0 * w * total_c;
+    for (std::size_t p = r0 * w; p < r1 * w; ++p) {
+      for (const Tensor* t : inputs) {
+        const auto c = static_cast<std::size_t>(t->shape().back());
+        std::memcpy(o, t->raw() + p * c, c * sizeof(float));
+        o += c;
       }
     }
-  }
+  });
   return out;
 }
 

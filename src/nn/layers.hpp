@@ -14,6 +14,10 @@
 // ascending panels of whole rows: Dense and pointwise Conv2D multiply each
 // panel as it arrives, so a source that computes its kernel (the δ-sweep's
 // codec) never holds all of it.
+// A layer may also be handed its first input to keep (forward_owned): ReLU,
+// ReLU6, BatchNorm, Flatten, Reshape, Softmax and Add then write their
+// output over it instead of copying it, which is how Graph moves
+// activations through a pass (DESIGN.md §18).
 // backward() is implemented for the subset of layers LeNet-5 needs so the
 // in-repo SGD trainer can produce genuinely trained weights; the other
 // layers throw if asked to train.
@@ -100,6 +104,15 @@ class Layer {
   [[nodiscard]] virtual Tensor forward(std::span<const Tensor* const> inputs,
                                        KernelSource& kernel) const;
 
+  /// As forward(inputs), or forward(inputs, kernel) when `kernel` is not
+  /// empty, with the first input handed over: `first` is that input, which
+  /// the caller gives up, and `rest` the inputs after it. In-place layers
+  /// (InPlaceLayer) move `first` into their output and write over it; the
+  /// others only read it.
+  [[nodiscard]] virtual Tensor forward_owned(
+      Tensor&& first, std::span<const Tensor* const> rest,
+      std::span<const float> kernel) const;
+
   /// The compressible weight succession (empty for parameterless layers).
   [[nodiscard]] virtual std::span<float> kernel() { return {}; }
   [[nodiscard]] virtual std::span<const float> kernel() const { return {}; }
@@ -124,6 +137,27 @@ class Layer {
 };
 
 using LayerPtr = std::unique_ptr<Layer>;
+
+/// A layer whose output overwrites its first input. Its arithmetic is one
+/// apply(); forward() runs it on a copy of the first input, forward_owned()
+/// on the input itself, so both give the same bits.
+class InPlaceLayer : public Layer {
+ public:
+  using Layer::Layer;
+  using Layer::forward;
+  [[nodiscard]] Tensor forward(
+      std::span<const Tensor* const> inputs) const final;
+  [[nodiscard]] Tensor forward_owned(
+      Tensor&& first, std::span<const Tensor* const> rest,
+      std::span<const float> kernel) const final;
+
+ protected:
+  /// Write the output over `x`, the first input; `kernel` is empty or, for
+  /// a layer with a kernel, that kernel's replacement.
+  [[nodiscard]] virtual Tensor apply(Tensor x,
+                                     std::span<const Tensor* const> rest,
+                                     std::span<const float> kernel) const = 0;
+};
 
 // ---------------------------------------------------------------------------
 
@@ -327,85 +361,94 @@ class GlobalAvgPool final : public Layer {
       std::span<const Tensor* const> inputs) const override;
 };
 
-class ReLU final : public Layer {
+class ReLU final : public InPlaceLayer {
  public:
-  explicit ReLU(std::string name) : Layer(std::move(name)) {}
+  explicit ReLU(std::string name) : InPlaceLayer(std::move(name)) {}
   [[nodiscard]] LayerType type() const noexcept override {
     return LayerType::ReLU;
   }
-  [[nodiscard]] Tensor forward(
-      std::span<const Tensor* const> inputs) const override;
   [[nodiscard]] std::vector<Tensor> backward(
       std::span<const Tensor* const> inputs, const Tensor& grad_out) override;
+
+ protected:
+  [[nodiscard]] Tensor apply(Tensor x, std::span<const Tensor* const> rest,
+                             std::span<const float> kernel) const override;
 };
 
-class ReLU6 final : public Layer {
+class ReLU6 final : public InPlaceLayer {
  public:
-  explicit ReLU6(std::string name) : Layer(std::move(name)) {}
+  explicit ReLU6(std::string name) : InPlaceLayer(std::move(name)) {}
   [[nodiscard]] LayerType type() const noexcept override {
     return LayerType::ReLU6;
   }
-  [[nodiscard]] Tensor forward(
-      std::span<const Tensor* const> inputs) const override;
+
+ protected:
+  [[nodiscard]] Tensor apply(Tensor x, std::span<const Tensor* const> rest,
+                             std::span<const float> kernel) const override;
 };
 
-class Softmax final : public Layer {
+class Softmax final : public InPlaceLayer {
  public:
-  explicit Softmax(std::string name) : Layer(std::move(name)) {}
+  explicit Softmax(std::string name) : InPlaceLayer(std::move(name)) {}
   [[nodiscard]] LayerType type() const noexcept override {
     return LayerType::Softmax;
   }
-  [[nodiscard]] Tensor forward(
-      std::span<const Tensor* const> inputs) const override;
+
+ protected:
+  [[nodiscard]] Tensor apply(Tensor x, std::span<const Tensor* const> rest,
+                             std::span<const float> kernel) const override;
 };
 
 /// Reshape to a fixed per-sample shape (batch dim preserved). Used e.g. by
 /// MobileNet to view the pooled (N, C) vector as (N, 1, 1, C) so the
 /// conv_preds 1x1 convolution can consume it, as in the Keras reference.
-class Reshape final : public Layer {
+class Reshape final : public InPlaceLayer {
  public:
   /// `per_sample_shape` excludes the batch dimension.
   Reshape(std::string name, std::vector<int> per_sample_shape)
-      : Layer(std::move(name)), per_sample_(std::move(per_sample_shape)) {}
+      : InPlaceLayer(std::move(name)),
+        per_sample_(std::move(per_sample_shape)) {}
   [[nodiscard]] LayerType type() const noexcept override {
     return LayerType::Flatten;  // shape-only op, reported as Flatten-kind
   }
-  [[nodiscard]] Tensor forward(
-      std::span<const Tensor* const> inputs) const override;
   [[nodiscard]] const std::vector<int>& per_sample_shape() const noexcept {
     return per_sample_;
   }
+
+ protected:
+  [[nodiscard]] Tensor apply(Tensor x, std::span<const Tensor* const> rest,
+                             std::span<const float> kernel) const override;
 
  private:
   std::vector<int> per_sample_;
 };
 
-class Flatten final : public Layer {
+class Flatten final : public InPlaceLayer {
  public:
-  explicit Flatten(std::string name) : Layer(std::move(name)) {}
+  explicit Flatten(std::string name) : InPlaceLayer(std::move(name)) {}
   [[nodiscard]] LayerType type() const noexcept override {
     return LayerType::Flatten;
   }
-  [[nodiscard]] Tensor forward(
-      std::span<const Tensor* const> inputs) const override;
   [[nodiscard]] std::vector<Tensor> backward(
       std::span<const Tensor* const> inputs, const Tensor& grad_out) override;
+
+ protected:
+  [[nodiscard]] Tensor apply(Tensor x, std::span<const Tensor* const> rest,
+                             std::span<const float> kernel) const override;
 };
 
 /// Inference-mode batch normalization over the channel (last) axis.
 /// Holds gamma, beta, moving mean and moving variance so param_count()
 /// reports 4*C, matching Keras.
-class BatchNorm final : public Layer {
+class BatchNorm final : public InPlaceLayer {
  public:
   BatchNorm(std::string name, int channels, float epsilon = 1e-3F);
 
   [[nodiscard]] LayerType type() const noexcept override {
     return LayerType::BatchNorm;
   }
-  [[nodiscard]] Tensor forward(
-      std::span<const Tensor* const> inputs) const override {
-    return forward(inputs, gamma_);
-  }
+  using InPlaceLayer::forward;
+  /// forward() with `kernel` read in place of gamma.
   [[nodiscard]] Tensor forward(std::span<const Tensor* const> inputs,
                                std::span<const float> kernel) const override;
   /// BatchNorm's "kernel" for compression purposes is gamma (rarely chosen
@@ -422,19 +465,28 @@ class BatchNorm final : public Layer {
   [[nodiscard]] std::span<float> moving_mean() { return mean_; }
   [[nodiscard]] std::span<float> moving_var() { return var_; }
 
+ protected:
+  /// y = x * scale + shift per channel, with scale from `kernel` (gamma
+  /// when empty).
+  [[nodiscard]] Tensor apply(Tensor x, std::span<const Tensor* const> rest,
+                             std::span<const float> kernel) const override;
+
  private:
   float eps_;
   std::vector<float> gamma_, beta_, mean_, var_;
 };
 
-class Add final : public Layer {
+class Add final : public InPlaceLayer {
  public:
-  explicit Add(std::string name) : Layer(std::move(name)) {}
+  explicit Add(std::string name) : InPlaceLayer(std::move(name)) {}
   [[nodiscard]] LayerType type() const noexcept override {
     return LayerType::Add;
   }
-  [[nodiscard]] Tensor forward(
-      std::span<const Tensor* const> inputs) const override;
+
+ protected:
+  /// x += each of `rest`, in order.
+  [[nodiscard]] Tensor apply(Tensor x, std::span<const Tensor* const> rest,
+                             std::span<const float> kernel) const override;
 };
 
 /// Concatenation along the channel (last) axis.

@@ -18,6 +18,23 @@ std::size_t Tensor::shape_size(const std::vector<int>& shape) {
 Tensor::Tensor(std::vector<int> shape)
     : shape_(std::move(shape)), data_(shape_size(shape_), 0.0F) {}
 
+Tensor Tensor::unfilled(std::vector<int> shape) {
+  Tensor t;
+  t.data_.resize(shape_size(shape));
+  t.shape_ = std::move(shape);
+  return t;
+}
+
+Tensor::Tensor(const Tensor& other)
+    : shape_(other.shape_), data_(other.data_.size()) {
+  std::copy(other.data_.begin(), other.data_.end(), data_.begin());
+}
+
+Tensor& Tensor::operator=(const Tensor& other) {
+  if (this != &other) *this = Tensor(other);
+  return *this;
+}
+
 void Tensor::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }

@@ -4,13 +4,18 @@
 // (N,H,W,C) cover every layer in the zoo. Data is value-semantic and
 // contiguous, so layers can expose their kernels to the compression codec as
 // a single std::span<float> — exactly the "succession of model parameters"
-// the paper compresses.
+// the paper compresses. Tensor(shape) zero-fills; Tensor::unfilled(shape)
+// leaves the floats unwritten, for a layer that writes every element before
+// anything reads it (DESIGN.md §18, "Activations move through the pass").
 #pragma once
 
 #include <cstddef>
 #include <initializer_list>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -20,9 +25,22 @@ namespace nocw::nn {
 class Tensor {
  public:
   Tensor() = default;
+  /// Zero-filled.
   explicit Tensor(std::vector<int> shape);
   Tensor(std::initializer_list<int> shape)
       : Tensor(std::vector<int>(shape)) {}
+
+  /// Elements left unwritten: only for a caller that writes every element
+  /// before reading any.
+  [[nodiscard]] static Tensor unfilled(std::vector<int> shape);
+
+  // Out of line: the allocator's element-wise construct() would make the
+  // implicit copy a scalar loop; these copy with one memmove.
+  Tensor(const Tensor& other);
+  Tensor& operator=(const Tensor& other);
+  Tensor(Tensor&&) noexcept = default;
+  Tensor& operator=(Tensor&&) noexcept = default;
+  ~Tensor() = default;
 
   [[nodiscard]] const std::vector<int>& shape() const noexcept {
     return shape_;
@@ -87,8 +105,26 @@ class Tensor {
            c;
   }
 
+  /// std::allocator whose value-less construct() default-initializes, so
+  /// the vector's size constructor and resize() leave floats unwritten.
+  template <class T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <class U>
+    struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    template <class U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <class U, class... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+
   std::vector<int> shape_;
-  std::vector<float> data_;
+  std::vector<float, DefaultInitAllocator<float>> data_;
 };
 
 }  // namespace nocw::nn
