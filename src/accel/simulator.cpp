@@ -286,8 +286,6 @@ AcceleratorSim::NocPhase AcceleratorSim::run_noc_phase(
     const auto ejects = net.node_eject_counts();
     out.observation.link_flits.assign(links.begin(), links.end());
     out.observation.node_ejections.assign(ejects.begin(), ejects.end());
-    out.observation.packet_latency_cycles = net.packet_latency_samples();
-    out.observation.queue_depth_flits = net.queue_depth_samples();
     out.observation.window_cycles = cycles;
     out.observation.collected = true;
   }

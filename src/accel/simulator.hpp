@@ -128,8 +128,8 @@ struct LayerResult {
   units::Flits total_flits;
   LatencyBreakdown latency;
   power::EnergyBreakdown energy;
-  /// NoC-phase observation (empty unless the network ran in observation
-  /// mode; see Network::set_observation).
+  /// NoC-phase link and ejection counts (empty unless the tracer's noc
+  /// category was live; see Network::observing).
   obs::NocObservation noc_obs;
 };
 
@@ -140,13 +140,6 @@ struct InferenceResult {
   power::EnergyBreakdown energy;
   /// Merge of every traffic-bearing layer's NoC observation.
   obs::NocObservation noc_obs;
-
-  [[nodiscard]] units::FracCycles total_cycles() const noexcept {
-    return latency.total();
-  }
-  [[nodiscard]] units::Seconds total_seconds(double clock_ghz = 1.0) const {
-    return units::seconds_at(latency.total(), clock_ghz);
-  }
 };
 
 class AcceleratorSim {

@@ -96,29 +96,4 @@ DegradationResult run_degradation_sweep(nn::Model& model,
   return out;
 }
 
-void annotate_registry(obs::Registry& reg, const DegradationResult& result,
-                       std::string_view prefix) {
-  const std::string base = std::string(prefix) + ".";
-  reg.set_counter(base + "points", "count", result.points.size());
-  reg.set_gauge(base + "baseline_accuracy", "fraction",
-                result.baseline_accuracy);
-  std::uint64_t completed = 0;
-  int max_faults_survived = 0;
-  for (const DegradationPoint& p : result.points) {
-    if (!p.completed) continue;
-    ++completed;
-    if (p.router_faults > max_faults_survived) {
-      max_faults_survived = p.router_faults;
-    }
-    reg.observe(base + "accuracy", "fraction", p.accuracy);
-    if (p.latency_vs_healthy > 0.0) {
-      reg.observe(base + "latency_vs_healthy", "ratio", p.latency_vs_healthy);
-      reg.observe(base + "energy_vs_healthy", "ratio", p.energy_vs_healthy);
-    }
-  }
-  reg.set_counter(base + "completed", "count", completed);
-  reg.set_gauge(base + "max_faults_survived", "routers",
-                static_cast<double>(max_faults_survived));
-}
-
 }  // namespace nocw::eval

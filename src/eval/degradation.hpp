@@ -21,13 +21,11 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "nn/digits.hpp"
 #include "nn/models.hpp"
 #include "noc/config.hpp"
-#include "obs/registry.hpp"
 #include "util/units.hpp"
 
 namespace nocw::eval {
@@ -85,11 +83,5 @@ struct DegradationResult {
 DegradationResult run_degradation_sweep(nn::Model& model,
                                         const nn::Dataset& test,
                                         const DegradationConfig& cfg);
-
-/// Publish a finished sweep into a counter registry (prefix.*): point and
-/// completion totals as counters, baseline accuracy as a gauge, and the
-/// per-point latency/energy degradation ratios as histograms.
-void annotate_registry(obs::Registry& reg, const DegradationResult& result,
-                       std::string_view prefix = "degradation");
 
 }  // namespace nocw::eval

@@ -256,31 +256,4 @@ FaultSweepResult run_fault_sweep(const nn::Model& model,
   return result;
 }
 
-void annotate_registry(obs::Registry& reg, const FaultSweepResult& result,
-                       std::string_view prefix) {
-  const std::string base = std::string(prefix) + ".";
-  reg.set_counter(base + "points", "count", result.points.size());
-  reg.set_gauge(base + "baseline_accuracy", "fraction",
-                result.baseline_accuracy);
-  std::uint64_t crc_failures = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t packets_dropped = 0;
-  for (const FaultPoint& p : result.points) {
-    crc_failures += p.crc_failures;
-    retransmissions += p.retransmissions;
-    packets_dropped += p.packets_dropped;
-    reg.observe(base + "accuracy_compressed", "fraction",
-                p.accuracy_compressed);
-    reg.observe(base + "accuracy_protected", "fraction",
-                p.accuracy_protected);
-    if (p.unprotected_cycles > units::FracCycles{0.0}) {
-      reg.observe(base + "protection_cycle_overhead", "ratio",
-                  p.protected_cycles / p.unprotected_cycles);
-    }
-  }
-  reg.set_counter(base + "crc_failures", "packets", crc_failures);
-  reg.set_counter(base + "retransmissions", "packets", retransmissions);
-  reg.set_counter(base + "packets_dropped", "packets", packets_dropped);
-}
-
 }  // namespace nocw::eval

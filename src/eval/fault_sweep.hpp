@@ -24,7 +24,6 @@
 #include "nn/digits.hpp"
 #include "nn/models.hpp"
 #include "noc/config.hpp"
-#include "obs/registry.hpp"
 #include "power/energy_model.hpp"
 #include "util/units.hpp"
 
@@ -92,12 +91,5 @@ struct FaultSweepResult {
 FaultSweepResult run_fault_sweep(const nn::Model& model,
                                  const nn::Dataset& test,
                                  const FaultSweepConfig& cfg);
-
-/// Publish a finished sweep into a counter registry (prefix.*): point and
-/// CRC/retransmission totals as counters, baseline accuracy as a gauge, and
-/// the per-point protected/compressed accuracies and protection cycle
-/// overheads as histograms.
-void annotate_registry(obs::Registry& reg, const FaultSweepResult& result,
-                       std::string_view prefix = "fault");
 
 }  // namespace nocw::eval

@@ -63,16 +63,6 @@ std::vector<DeltaPoint> DeltaEvaluator::evaluate_many(
   return points;
 }
 
-void DeltaEvaluator::annotate_registry(obs::Registry& reg,
-                                       std::string_view prefix) const {
-  const std::string base = std::string(prefix) + ".";
-  reg.set_gauge(base + "baseline_accuracy", "fraction", baseline_accuracy_);
-  reg.set_gauge(base + "selected_fraction", "fraction", selected_fraction_);
-  reg.set_counter(base + "probes", "count",
-                  static_cast<std::uint64_t>(cfg_.probes));
-  reg.set_counter(base + "evaluations", "count", evaluations_);
-}
-
 void DeltaEvaluator::annotate_manifest(obs::RunManifest& m) const {
   if (m.model.empty()) m.model = model_->name;
   m.config["selected_layer"] = selected_name_;

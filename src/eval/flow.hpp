@@ -26,7 +26,6 @@
 #include "nn/digits.hpp"
 #include "nn/models.hpp"
 #include "obs/manifest.hpp"
-#include "obs/registry.hpp"
 
 namespace nocw::eval {
 
@@ -112,12 +111,6 @@ class DeltaEvaluator {
   [[nodiscard]] std::uint64_t evaluations() const noexcept {
     return evaluations_;
   }
-
-  /// Publish the evaluator's state into a counter registry (prefix.*):
-  /// baseline accuracy, selected-layer fraction, probe count, and the
-  /// running evaluation count.
-  void annotate_registry(obs::Registry& reg,
-                         std::string_view prefix = "eval") const;
 
   /// Publish the evaluator's provenance into a run manifest: model name and
   /// evaluation-flow config strings, plus baseline-accuracy / evaluation

@@ -114,36 +114,4 @@ ObservedSweepResult run_observed_serving_sweep(
   return out;
 }
 
-void annotate_registry(obs::Registry& reg, const ServingSweepResult& result,
-                       std::string_view prefix) {
-  const std::string p(prefix);
-  std::uint64_t offered = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t batches = 0;
-  double batched = 0.0;
-  for (const ServingPoint& pt : result.points) {
-    offered += pt.result.aggregate.offered;
-    completed += pt.result.aggregate.completed;
-    shed += pt.result.aggregate.shed;
-    batches += pt.result.batches;
-    batched += pt.result.mean_batch_size *
-               static_cast<double>(pt.result.batches);
-    reg.observe(p + ".point_p99_latency", "cycles",
-                pt.result.aggregate.latency.p99);
-    reg.set_gauge(p + "." + pt.scheduler + ".goodput_fraction", "fraction",
-                  result.capacity_rps > 0.0
-                      ? pt.result.goodput_rps / result.capacity_rps
-                      : 0.0);
-  }
-  reg.set_counter(p + ".offered_requests", "requests", offered);
-  reg.set_counter(p + ".completed_requests", "requests", completed);
-  reg.set_counter(p + ".shed_requests", "requests", shed);
-  reg.set_counter(p + ".batches_dispatched", "batches", batches);
-  reg.set_counter(p + ".grid_points", "count",
-                  static_cast<std::uint64_t>(result.points.size()));
-  reg.set_gauge(p + ".mean_batch_size", "requests",
-                batches > 0 ? batched / static_cast<double>(batches) : 0.0);
-}
-
 }  // namespace nocw::eval

@@ -18,10 +18,8 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "obs/registry.hpp"
 #include "serve/arrival.hpp"
 #include "serve/serve_sim.hpp"
 
@@ -94,12 +92,5 @@ struct ObservedSweepResult {
 /// bench/ext_reqtrace gates that equivalence.
 [[nodiscard]] ObservedSweepResult run_observed_serving_sweep(
     std::vector<serve::RequestClass> classes, const ObservedSweepConfig& cfg);
-
-/// Publish a finished sweep into a counter registry (prefix.*): offered /
-/// completed / shed totals as counters (unit "requests"), batch totals
-/// (unit "batches"), per-point goodput-vs-capacity fractions and the mean
-/// batch size as gauges, and the per-point aggregate p99s as a histogram.
-void annotate_registry(obs::Registry& reg, const ServingSweepResult& result,
-                       std::string_view prefix = "serve");
 
 }  // namespace nocw::eval

@@ -32,7 +32,6 @@ Network::Network(const NocConfig& cfg)
       static_cast<std::size_t>(cfg_.node_count()) * kNumPorts, 0);
   node_ejects_.resize(static_cast<std::size_t>(cfg_.node_count()), 0);
   trace_noc_ = NOCW_TRACE_ON(obs::kCatNoc);
-  observe_ = trace_noc_;
   trace_sample_ = obs::Tracer::sample_every();
   if (trace_sample_ == 0) trace_sample_ = 1;
   // The fast path caches DOR head routes; any table-driven rerouting would
@@ -202,9 +201,6 @@ void Network::eject_flit(const Flit& f, int node) {
   const double latency =
       static_cast<double>(stats_.cycles.value() - f.inject_cycle);
   stats_.packet_latency.add(latency);
-  if (observe_ && latency_samples_.size() < kMaxObservationSamples) {
-    latency_samples_.push_back(latency);
-  }
   if (trace_noc_) {
     obs::Tracer::global().record_instant(
         obs::kCatNoc, "eject", obs::kPidNoc, static_cast<std::uint32_t>(node),
@@ -537,9 +533,6 @@ void Network::step_cycle() {
   std::fill(fresh_mask_.begin(), fresh_mask_.end(), std::uint64_t{0});
   if (escalate_) process_escalations();
   ++stats_.cycles;
-  if (observe_ && stats_.cycles.value() % kQueueSampleInterval == 0) {
-    sample_queue_depths();
-  }
   if (series_ != nullptr &&
       stats_.cycles.value() % series_interval_cycles_ == 0) {
     sample_series();
@@ -617,14 +610,6 @@ void Network::requeue_or_drop(PacketDescriptor d) {
   d.release_cycle = stats_.cycles.value() + 1;
   queue_packet(d);
   ++stats_.packets_rerouted;
-}
-
-void Network::sample_queue_depths() {
-  const auto routers = static_cast<std::size_t>(lanes_.routers());
-  if (queue_samples_.size() + routers > kMaxObservationSamples) return;
-  for (int rid = 0; rid < lanes_.routers(); ++rid) {
-    queue_samples_.push_back(static_cast<double>(lanes_.buffered(rid)));
-  }
 }
 
 void Network::set_series_sink(obs::TimeSeriesSet* sink,
@@ -708,33 +693,20 @@ std::uint64_t Network::next_source_release() const noexcept {
 }
 
 void Network::advance_idle(std::uint64_t target) {
+  NOCW_DCHECK_GT(target, stats_.cycles.value());
   idle_cycles_skipped_ += target - stats_.cycles.value();
-  // Jump in hops so every sampling boundary a dense engine would have hit
-  // still fires, in increasing cycle order. The network is empty, so queue
-  // depths and series window deltas are exactly the zeros dense reports.
-  while (stats_.cycles.value() < target) {
-    std::uint64_t next = target;
-    if (observe_) {
-      const std::uint64_t b =
-          (stats_.cycles.value() / kQueueSampleInterval + 1) *
-          kQueueSampleInterval;
-      next = std::min(next, b);
-    }
-    if (series_ != nullptr) {
-      const std::uint64_t b =
-          (stats_.cycles.value() / series_interval_cycles_ + 1) *
-          series_interval_cycles_;
-      next = std::min(next, b);
-    }
-    stats_.cycles = units::Cycles{next};
-    if (observe_ && stats_.cycles.value() % kQueueSampleInterval == 0) {
-      sample_queue_depths();
-    }
-    if (series_ != nullptr &&
-        stats_.cycles.value() % series_interval_cycles_ == 0) {
-      sample_series();
-    }
+  // With a series sink attached, jump in hops so every sampling boundary a
+  // dense engine would have hit still fires, in increasing cycle order. The
+  // network is empty, so the queue depth and window deltas are exactly the
+  // zeros dense reports.
+  while (series_ != nullptr && stats_.cycles.value() < target) {
+    const std::uint64_t b =
+        (stats_.cycles.value() / series_interval_cycles_ + 1) *
+        series_interval_cycles_;
+    stats_.cycles = units::Cycles{std::min(target, b)};
+    if (stats_.cycles.value() % series_interval_cycles_ == 0) sample_series();
   }
+  stats_.cycles = units::Cycles{target};
 }
 
 DrainTimeoutError::DrainTimeoutError(const std::string& context,
@@ -909,7 +881,8 @@ void Network::check_invariants() const {
   }
   // The observability arrays are decompositions of the canonical counters:
   // per-link flit counts must sum to link_traversals and per-node ejections
-  // to flits_ejected, or a heatmap would disagree with the stats facade.
+  // to flits_ejected, or NocObservation would disagree with the stats
+  // facade.
   std::uint64_t link_sum = 0;
   for (const std::uint64_t v : link_flits_) link_sum += v;
   NOCW_CHECK_EQ(link_sum, stats_.link_traversals);

@@ -124,13 +124,11 @@ class Network {
 
   // --- observability (src/obs) ---
   // Per-link and per-node flit counts are always collected (one array
-  // increment on paths that already bump several counters); latency and
-  // queue-depth *samples* grow memory, so they are gated by observation
-  // mode, which defaults to "on iff the tracer's noc category is live".
+  // increment on paths that already bump several counters).
 
-  /// Enable/disable packet-latency and queue-depth sampling.
-  void set_observation(bool on) noexcept { observe_ = on; }
-  [[nodiscard]] bool observing() const noexcept { return observe_; }
+  /// True iff the tracer's noc category was live at construction; the
+  /// accelerator then copies the counts below into its NocObservation.
+  [[nodiscard]] bool observing() const noexcept { return trace_noc_; }
 
   /// Flits sent over each output link, indexed [node * kNumPorts + port].
   [[nodiscard]] std::span<const std::uint64_t> link_flit_counts()
@@ -142,21 +140,6 @@ class Network {
       const noexcept {
     return node_ejects_;
   }
-  /// Per-packet latency samples in cycles (observation mode only; capped at
-  /// kMaxObservationSamples, oldest kept).
-  [[nodiscard]] const std::vector<double>& packet_latency_samples()
-      const noexcept {
-    return latency_samples_;
-  }
-  /// Per-router buffered-flit occupancy, sampled every
-  /// kQueueSampleInterval cycles in observation mode.
-  [[nodiscard]] const std::vector<double>& queue_depth_samples()
-      const noexcept {
-    return queue_samples_;
-  }
-
-  static constexpr std::size_t kMaxObservationSamples = 1u << 20;
-  static constexpr std::uint64_t kQueueSampleInterval = 64;
 
   /// Attach a time-series sink: every `interval_cycles` cycles, the engine
   /// appends the window's flit-injection/ejection/link-traversal deltas and
@@ -282,7 +265,6 @@ class Network {
   void requeue_or_drop(PacketDescriptor d);
   /// Flits buffered in every lane of the mesh.
   [[nodiscard]] std::uint64_t buffered_flits() const noexcept;
-  void sample_queue_depths();
   void sample_series();
   /// Flits a descriptor expands to at injection (+1 CRC flit if protected).
   [[nodiscard]] std::uint64_t flits_of(const PacketDescriptor& p)
@@ -359,13 +341,10 @@ class Network {
   // per-hop emission check is one branch on a plain bool; link/eject counts
   // are unconditional (they back the utilization invariants below).
   bool trace_noc_ = false;
-  bool observe_ = false;
   std::uint64_t trace_sample_ = 1;  ///< emit every Nth hop event
   std::uint64_t hop_seq_ = 0;       ///< hops seen, for sampling
   std::vector<std::uint64_t> link_flits_;   ///< [node * kNumPorts + port]
   std::vector<std::uint64_t> node_ejects_;  ///< per node
-  std::vector<double> latency_samples_;
-  std::vector<double> queue_samples_;
 
   // Time-series sink (null = detached). Window deltas are reconstructed
   // from the always-on cumulative counters, so sampling reads committed

@@ -52,10 +52,6 @@ struct NocStats {
     return cycles.value() != 0 ? flits_ejected / cycles
                                : units::FlitsPerCycle{};
   }
-
-  /// Restore the default-constructed state. Written as `*this = {}` so the
-  /// struct can grow new counters without this silently missing them.
-  void reset() { *this = {}; }
 };
 
 }  // namespace nocw::noc

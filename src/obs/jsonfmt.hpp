@@ -1,4 +1,4 @@
-// Shared formatting for the observability exports (registry, time series,
+// Shared formatting for the observability exports (time series, traces,
 // manifests, bench summaries). One implementation so every JSON/CSV surface
 // renders the same value to the same bytes — the regression gate diffs these
 // files across runs and formatting noise would look like drift.

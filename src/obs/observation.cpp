@@ -18,12 +18,6 @@ void NocObservation::merge(const NocObservation& o) {
   for (std::size_t i = 0; i < node_ejections.size(); ++i) {
     node_ejections[i] += o.node_ejections[i];
   }
-  packet_latency_cycles.insert(packet_latency_cycles.end(),
-                               o.packet_latency_cycles.begin(),
-                               o.packet_latency_cycles.end());
-  queue_depth_flits.insert(queue_depth_flits.end(),
-                           o.queue_depth_flits.begin(),
-                           o.queue_depth_flits.end());
   window_cycles += o.window_cycles;
 }
 

@@ -1,13 +1,11 @@
-// Raw observation samples collected from one NoC phase / inference.
+// Raw observation counts collected from one NoC phase / inference.
 //
 // The cycle engine exposes where flits actually went (per-link and per-node
-// counts) and how long packets actually took (latency samples, queue
-// depths); this struct carries those samples from noc::Network through
-// accel::AcceleratorSim to the derived reports in obs/report without either
-// side depending on the other's types. Latency and queue-depth sampling are
-// collected only when the network is observing (tracing enabled or
-// Network::set_observation(true)); the count vectors are always cheap and
-// always filled.
+// counts); this struct carries them from noc::Network through
+// accel::AcceleratorSim to their readers (the trace-overhead bench's gate
+// checks, the bottleneck-bound simulator test) without either side depending
+// on the other's types. It is filled only when the tracer's noc category is
+// live (Network::observing).
 #pragma once
 
 #include <cstdint>
@@ -21,17 +19,13 @@ struct NocObservation {
   std::vector<std::uint64_t> link_flits;
   /// Flits ejected at each node's local port (PE/MI ingestion).
   std::vector<std::uint64_t> node_ejections;
-  /// Per-packet injection-to-tail latency in cycles (sampled when observing).
-  std::vector<double> packet_latency_cycles;
-  /// Per-router buffered-flit occupancy, sampled periodically when observing.
-  std::vector<double> queue_depth_flits;
-  /// Cycles the observed window ran (utilization denominator).
+  /// Cycles the observed window ran.
   std::uint64_t window_cycles = 0;
-  /// True when any window contributed (reports skip empty observations).
+  /// True when any window contributed (readers skip empty observations).
   bool collected = false;
 
   /// Element-wise accumulate (layers of one inference share link/node
-  /// indexing; sample vectors concatenate).
+  /// indexing).
   void merge(const NocObservation& o);
 };
 

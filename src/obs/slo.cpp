@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "obs/jsonfmt.hpp"
-#include "obs/registry.hpp"
 #include "util/check.hpp"
 #include "util/stats.hpp"
 
@@ -162,27 +161,6 @@ std::uint64_t SloMonitor::windows_breached() const noexcept {
 double SloMonitor::max_burn(std::size_t horizon) const {
   NOCW_CHECK(horizon < kBurnHorizons);
   return max_burn_[horizon];
-}
-
-void SloMonitor::publish(const std::string& prefix, Registry& reg) const {
-  reg.set_counter(prefix + ".windows_total", "count", windows_.size());
-  reg.set_counter(prefix + ".windows_breached", "count", windows_breached());
-  std::uint64_t p99 = 0;
-  std::uint64_t p999 = 0;
-  std::uint64_t goodput = 0;
-  for (const SloWindow& w : windows_) {
-    if ((w.breach_mask & kBreachP99) != 0) ++p99;
-    if ((w.breach_mask & kBreachP999) != 0) ++p999;
-    if ((w.breach_mask & kBreachGoodput) != 0) ++goodput;
-  }
-  reg.set_counter(prefix + ".breach_p99_windows", "count", p99);
-  reg.set_counter(prefix + ".breach_p999_windows", "count", p999);
-  reg.set_counter(prefix + ".breach_goodput_windows", "count", goodput);
-  for (std::size_t h = 0; h < kBurnHorizons; ++h) {
-    reg.set_gauge(prefix + ".max_burn_" +
-                      std::to_string(kBurnHorizonWindows[h]) + "w",
-                  "ratio", max_burn_[h]);
-  }
 }
 
 std::string SloMonitor::to_json() const {

@@ -36,8 +36,6 @@
 
 namespace nocw::obs {
 
-class Registry;
-
 /// Start cycle of the tumbling window containing `cycle`. The only window
 /// alignment primitive in the tree ([slo] lint rule).
 [[nodiscard]] std::uint64_t slo_window_start(std::uint64_t cycle,
@@ -122,9 +120,6 @@ class SloMonitor {
   /// Max burn rate seen at any window close for the given horizon index.
   [[nodiscard]] double max_burn(std::size_t horizon) const;
 
-  /// Registry publication under `prefix.`: windows total/breached counters,
-  /// max burn gauges per horizon, per-reason breach counters.
-  void publish(const std::string& prefix, Registry& reg) const;
   /// {"schema":"nocw.slo.v1",...} with one window object per line —
   /// the input for tools/obs_dashboard.py's SLO burn-rate panel.
   [[nodiscard]] std::string to_json() const;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/jsonfmt.hpp"
-#include "obs/registry.hpp"
 #include "util/check.hpp"
 #include "util/env.hpp"
 
@@ -15,7 +14,7 @@ TimeSeries::TimeSeries(std::string name, std::string unit,
                        std::size_t capacity)
     : name_(std::move(name)), unit_(std::move(unit)), capacity_(capacity) {
   NOCW_CHECK(!name_.empty());
-  NOCW_CHECK(unit_allowed(unit_));
+  NOCW_CHECK(units::vocab_has(unit_));
   // Compaction halves the size; capacity below 4 would degenerate into
   // keeping a single point forever.
   NOCW_CHECK_GE(capacity_, std::size_t{4});

@@ -1,8 +1,8 @@
 // Time-series telemetry: periodic cycle-window snapshots of simulator
 // activity, the longitudinal half of the observability stack.
 //
-// The registry (obs/registry) answers "what were the totals of this run";
-// a TimeSeries answers "how did the run get there": DRAM reads, link flits,
+// A run's totals reach BENCH_summary.json and the run manifest; a
+// TimeSeries answers "how did the run get there": DRAM reads, link flits,
 // queue depth and MAC/decompress activity sampled every N simulated cycles,
 // so the paper's phase-resolved breakdowns (Fig. 2, Fig. 10) can be seen
 // *over time* rather than only as end-of-run sums. Producers are the NoC
@@ -39,8 +39,8 @@ struct SeriesPoint {
 };
 
 /// One bounded, ring-compacted series of (cycle, value) samples. Units come
-/// from the registry's closed vocabulary (unit_allowed); an unknown unit
-/// throws at series creation, same contract as Registry metrics.
+/// from the closed vocabulary (units::vocab_has, util/units_vocab.inc); an
+/// unknown unit throws at series creation.
 class TimeSeries {
  public:
   TimeSeries(std::string name, std::string unit, std::size_t capacity);
@@ -85,14 +85,15 @@ class TimeSeriesSet {
   explicit TimeSeriesSet(std::size_t capacity = kDefaultCapacity);
 
   /// Append to the named series, creating it on first use. Re-using a name
-  /// with a different unit throws nocw::CheckError (one name, one meaning —
-  /// the registry's rule).
+  /// with a different unit throws nocw::CheckError (one name, one meaning).
   void append(std::string_view name, std::string_view unit,
               std::uint64_t cycle, double value);
 
   /// Typed append: the unit label comes from the quantity's dimension tag
-  /// at compile time (same contract as Registry's typed overloads);
-  /// dimensions with no registry unit are rejected at compile time.
+  /// at compile time, so it can never carry the wrong label. Dimensions
+  /// whose registry_unit is empty (Picojoules, Milliwatts, Words, rates) are
+  /// rejected at compile time: exporting them directly would be off by a
+  /// scale factor, so convert (to_joules, to_watts) first.
   template <class Dim, class Rep>
   void append(std::string_view name, std::uint64_t cycle,
               units::Quantity<Dim, Rep> v) {

@@ -144,13 +144,6 @@ class ServeSim {
                                 const Scheduler& scheduler,
                                 const RunHooks& hooks) const;
 
-  /// Per-class span-layout templates (full + marginal) the trace sink's
-  /// trees are synthesized from.
-  [[nodiscard]] std::span<const ClassTraceTemplate> trace_templates()
-      const noexcept {
-    return trace_templates_;
-  }
-
  private:
   ServeConfig cfg_;
   std::vector<RequestClass> classes_;

@@ -52,7 +52,7 @@
 namespace nocw::units {
 
 // ---------------------------------------------------------------------------
-// Closed unit vocabulary (shared with obs::Registry and tools/lint.py's
+// Closed unit vocabulary (shared with obs::TimeSeriesSet and tools/lint.py's
 // `units.vocab` rule via units_vocab.inc).
 // ---------------------------------------------------------------------------
 
@@ -75,10 +75,10 @@ inline constexpr std::size_t kUnitVocabSize =
 
 // ---------------------------------------------------------------------------
 // Dimension tags. `registry_unit` names the closed-vocabulary unit used when
-// a quantity of this dimension is published through the typed obs::Registry
-// overloads; dimensions that must never be exported directly (picojoules,
-// milliwatts — export would be off by the scale factor) leave it empty, which
-// the typed overloads reject at compile time.
+// a quantity of this dimension is exported through the typed
+// obs::TimeSeriesSet::append; dimensions that must never be exported directly
+// (picojoules, milliwatts — export would be off by the scale factor) leave it
+// empty, which the typed append rejects at compile time.
 // ---------------------------------------------------------------------------
 
 struct CycleDim {
@@ -270,7 +270,7 @@ using FlitsPerCycle = Quantity<RateDim<FlitDim, CycleDim>, double>;
 using CyclesPerFlit = Quantity<RateDim<CycleDim, FlitDim>, double>;
 
 // The counter structs overlay these on what used to be bare uint64/double
-// fields; layout tripwires elsewhere (noc_stats_bridge) rely on that.
+// fields; keep them zero-overhead so those structs stay plain and cheap.
 static_assert(sizeof(Cycles) == sizeof(std::uint64_t) &&
                   std::is_trivially_copyable_v<Cycles>,
               "Cycles must stay a zero-overhead uint64 wrapper");
@@ -318,11 +318,6 @@ inline constexpr double kPicoPerUnit = 1e12;
                   std::numeric_limits<std::uint64_t>::max() / words.value());
   }
   return Bits{words.value() * word_bits};
-}
-
-/// Exact count -> analytic estimate (always representable).
-[[nodiscard]] constexpr FracCycles to_frac(Cycles c) noexcept {
-  return FracCycles{static_cast<double>(c.value())};
 }
 
 /// Analytic estimate -> exact count: llround, rejecting NaN, negatives and

@@ -8,7 +8,6 @@
 
 #include "nn/digits.hpp"
 #include "nn/models.hpp"
-#include "obs/registry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace nocw::eval {
@@ -91,24 +90,6 @@ TEST_F(Degradation, IdenticalAcrossThreadCounts) {
                           threads == 2 ? "threads=2" : "threads=8");
     }
   }
-}
-
-TEST_F(Degradation, RegistryAnnotationPublishesCurve) {
-  set_global_threads(1);
-  nn::Model m = nn::make_lenet5();
-  const nn::Dataset test = nn::make_digits(16, 71);
-  DegradationConfig cfg = small_config();
-  cfg.max_router_faults = 1;
-  cfg.delta_percents = {0.0};
-  const DegradationResult res = run_degradation_sweep(m, test, cfg);
-
-  obs::Registry reg;
-  annotate_registry(reg, res);
-  EXPECT_DOUBLE_EQ(reg.value("degradation.points"), 2.0);
-  EXPECT_DOUBLE_EQ(reg.value("degradation.completed"), 2.0);
-  EXPECT_DOUBLE_EQ(reg.value("degradation.max_faults_survived"), 1.0);
-  EXPECT_TRUE(reg.contains("degradation.latency_vs_healthy"));
-  EXPECT_TRUE(reg.contains("degradation.baseline_accuracy"));
 }
 
 }  // namespace

@@ -1,14 +1,12 @@
 // The serving sweep promises: a grid in load-outer/scheduler-inner order
 // where every scheduler at one load replays the same arrival timeline, a
-// capacity estimate that scales offered rates, and registry annotation in
-// the closed unit vocabulary.
+// capacity estimate that scales offered rates.
 #include "eval/serving.hpp"
 
 #include <gtest/gtest.h>
 
 #include "accel/summary.hpp"
 #include "nn/models.hpp"
-#include "obs/registry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace nocw::eval {
@@ -165,29 +163,6 @@ TEST_F(ServingSweep, ObservedSweepIsPureAndResolvesExemplars) {
     EXPECT_EQ(obs_res.sinks[i].exemplar_drops(), 0u);
   }
   EXPECT_GT(breached, 0u);
-}
-
-TEST_F(ServingSweep, RegistryAnnotationPublishesTotals) {
-  set_global_threads(1);
-  const ServingSweepResult res =
-      run_serving_sweep(small_classes(), small_config());
-  obs::Registry reg;
-  annotate_registry(reg, res);
-
-  std::uint64_t offered = 0;
-  for (const ServingPoint& pt : res.points) {
-    offered += pt.result.aggregate.offered;
-  }
-  EXPECT_DOUBLE_EQ(reg.value("serve.offered_requests"),
-                   static_cast<double>(offered));
-  EXPECT_DOUBLE_EQ(reg.value("serve.grid_points"), 4.0);
-  EXPECT_TRUE(reg.contains("serve.completed_requests"));
-  EXPECT_TRUE(reg.contains("serve.shed_requests"));
-  EXPECT_TRUE(reg.contains("serve.batches_dispatched"));
-  EXPECT_TRUE(reg.contains("serve.mean_batch_size"));
-  EXPECT_TRUE(reg.contains("serve.fifo.goodput_fraction"));
-  EXPECT_TRUE(reg.contains("serve.sjf.goodput_fraction"));
-  EXPECT_TRUE(reg.contains("serve.point_p99_latency"));
 }
 
 }  // namespace

@@ -75,28 +75,5 @@ TEST(NocInvariants, DetectSeededCounterDrift) {
   EXPECT_THROW(net.check_invariants(), CheckError);
 }
 
-TEST(NocStatsTest, ResetClearsAllCountersIncludingLatency) {
-  NocConfig cfg;
-  Network net(cfg);
-  net.add_packets(uniform_random_traffic(cfg, 30, 4, /*seed=*/5));
-  net.run_until_drained(100000);
-  NocStats& st = net.stats();
-  ASSERT_GT(st.flits_injected.value(), 0u);
-  ASSERT_GT(st.packet_latency.count(), 0u);
-
-  st.reset();
-  EXPECT_EQ(st.cycles.value(), 0u);
-  EXPECT_EQ(st.flits_injected.value(), 0u);
-  EXPECT_EQ(st.flits_ejected.value(), 0u);
-  EXPECT_EQ(st.packets_injected, 0u);
-  EXPECT_EQ(st.packets_ejected, 0u);
-  EXPECT_EQ(st.router_traversals, 0u);
-  EXPECT_EQ(st.link_traversals, 0u);
-  EXPECT_EQ(st.buffer_writes, 0u);
-  EXPECT_EQ(st.buffer_reads, 0u);
-  EXPECT_EQ(st.packet_latency.count(), 0u);
-  EXPECT_DOUBLE_EQ(st.packet_latency.sum(), 0.0);
-}
-
 }  // namespace
 }  // namespace nocw::noc

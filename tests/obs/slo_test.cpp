@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/registry.hpp"
-
 namespace nocw::obs {
 namespace {
 
@@ -146,19 +144,6 @@ TEST(SloMonitorTest, ClassesRollIndependently) {
   EXPECT_TRUE(m.windows().empty());
   m.finish();
   EXPECT_EQ(m.windows().size(), 2u);
-}
-
-TEST(SloMonitorTest, PublishesCountersAndBurnGauges) {
-  SloMonitor m(1, tight_policy());
-  (void)m.on_complete(0, 10, 500, 1);
-  m.finish();
-  Registry reg;
-  m.publish("slo", reg);
-  const std::string json = reg.to_json();
-  EXPECT_NE(json.find("slo.windows_total"), std::string::npos);
-  EXPECT_NE(json.find("slo.windows_breached"), std::string::npos);
-  EXPECT_NE(json.find("slo.breach_p99_windows"), std::string::npos);
-  EXPECT_NE(json.find("slo.max_burn_16w"), std::string::npos);
 }
 
 TEST(SloMonitorTest, JsonExportCarriesSchemaAndHexExemplars) {

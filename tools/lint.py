@@ -119,14 +119,14 @@ RULES = (
          "a pJ/J mix-up reaches the Fig. 10 joules",
          field_bad),
     # The name argument may span lines and hold one level of parentheses;
-    # the typed overloads take no string unit and so never match.
+    # the typed append takes no string unit and so never matches.
     Rule("units.vocab",
-         re.compile(r"\b(?:set_counter|add_counter|set_gauge|observe|append)"
+         re.compile(r"\bappend"
                     r"\s*\(\s*(?:[^,;()]|\([^;()]*\))*?,\s*\"([^\"]*)\""),
          ALL, (),
          "unit '{0}' is not in src/util/units_vocab.inc; the vocabulary is "
-         "closed so exported metrics stay comparable (or use the typed "
-         "overloads and no string at all)",
+         "closed so exported series stay comparable (or use the typed "
+         "append and no string at all)",
          lambda f, g: g[0] not in f.vocab),
     Rule("units.value-launder",
          re.compile(r"\.value\(\)\s*[-+]\s*[\w.:>\[\]()-]*?\.value\(\)"),
@@ -234,8 +234,8 @@ def strip(text: str) -> str:
 
 
 def load_vocab(root: pathlib.Path) -> frozenset[str]:
-    """The closed unit vocabulary, from the X-macro list units.hpp and
-    registry.cpp compile in, so this check cannot drift from the library."""
+    """The closed unit vocabulary, from the X-macro list units.hpp compiles
+    in, so this check cannot drift from the library."""
     try:
         units = NOCW_UNIT_RE.findall((root / VOCAB_FILE).read_text("utf-8"))
     except OSError as e:
@@ -306,14 +306,14 @@ struct T {
   double leak_mw;
 };
 === src/eval/bad_metric.cpp units.vocab 3
-#include "obs/registry.hpp"
-void f(nocw::obs::Registry& r) {
-  r.set_gauge("x.energy", "femtojoules", 1.0);
+#include "obs/timeseries.hpp"
+void f(nocw::obs::TimeSeriesSet& s) {
+  s.append("x.energy", "femtojoules", 0, 1.0);
 }
 === src/obs/bad_series.cpp units.vocab 2 3
-void f(nocw::obs::TimeSeriesSet& s, nocw::obs::Registry& r) {
+void f(nocw::obs::TimeSeriesSet& s) {
   s.append("noc.occupancy", "furlongs", 10, 1.0);
-  r.observe(prefix("noc.") + "hops", "leagues", 2.0);
+  s.append(prefix("noc.") + "hops", "leagues", 20, 2.0);
 }
 === src/accel/bad_launder.cpp units.value-launder 3
 #include "util/units.hpp"
@@ -400,15 +400,15 @@ struct U {
   double seconds = 0.0;
 };
 === src/obs/good_metric.cpp
-#include "obs/registry.hpp"
-void g(nocw::obs::Registry& r, double v) {
-  r.observe(base + "packet_latency",
-            "cycles", v);
-  r.set_counter("noc.flits_injected", "flits", 1);
-  r.set_gauge("x.energy", "joules", 1.0);
-  // r.set_gauge("x.energy", "femtojoules", 1.0);
-  /* r.observe("x.hops",
-               "leagues", 2.0); */
+#include "obs/timeseries.hpp"
+void g(nocw::obs::TimeSeriesSet& s, double v) {
+  s.append(base + "packet_latency",
+           "cycles", 0, v);
+  s.append("noc.flits_injected", "flits", 0, 1.0);
+  s.append("x.energy", 0, nocw::units::Joules{1.0});
+  // s.append("x.energy", "femtojoules", 0, 1.0);
+  /* s.append("x.hops",
+              "leagues", 0, 2.0); */
 }
 === src/accel/good_typed.cpp
 #include "util/units.hpp"
