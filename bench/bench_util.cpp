@@ -46,13 +46,8 @@ std::string summary_entry(const obs::RunManifest& m) {
      << obs::json_escape(m.build.count("git_sha") ? m.build.at("git_sha")
                                                   : "unknown")
      << "\",\"threads\":" << m.threads
-     << ",\"metrics\":{";
-  std::size_t i = 0;
-  for (const auto& [k, v] : m.metrics) {
-    if (i++ > 0) os << ',';
-    os << "\"" << obs::json_escape(k) << "\":" << obs::json_number(v);
-  }
-  os << "}}";
+     << ",\"metrics\":" << obs::json_number_map(m.metrics)
+     << ",\"host\":" << obs::json_number_map(m.host) << "}";
   return os.str();
 }
 
@@ -89,8 +84,8 @@ std::string output_dir(const char* argv0) {
   return path.substr(0, slash);
 }
 
-void emit(const std::string& title, const Table& table,
-          const std::string& dir, const std::string& slug) {
+double emit(const std::string& title, const Table& table,
+            const std::string& dir, const std::string& slug) {
   std::printf("\n== %s ==\n%s", title.c_str(), table.to_string().c_str());
   std::error_code ec;
   std::filesystem::create_directories(dir + "/results", ec);
@@ -99,6 +94,11 @@ void emit(const std::string& title, const Table& table,
     std::printf("(csv: %s)\n", csv_path.c_str());
   }
   std::fflush(stdout);
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
+  for (const char c : table.to_csv()) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return static_cast<double>(h & ((std::uint64_t{1} << 48) - 1));
 }
 
 TrainedLenet trained_lenet(const std::string& cache_dir) {
@@ -159,21 +159,21 @@ void write_summary(const std::string& dir, const obs::RunManifest& m) {
                    m.tool.c_str());
     }
   }
-  std::error_code ec;
-  std::filesystem::create_directories(dir + "/results", ec);
-  const std::string run_path = dir + "/results/run_" + m.tool + ".json";
-  if (obs::write_manifest(m, run_path)) {
-    std::printf("(manifest: %s)\n", run_path.c_str());
-  }
-
-  // Stamp the bench's wall-clock cost as an informational metric (the
-  // regression gate treats *_ms keys as never-gating). Stamped here, at the
-  // end of the run, because manifests are often created at bench start.
+  // Stamp the bench's wall-clock cost as a host value (reported by the
+  // regression gate, never gated). Stamped here, at the end of the run,
+  // because manifests are often created at bench start.
   obs::RunManifest stamped = m;
-  stamped.metrics["wall_ms"] =
+  stamped.host["wall_ms"] =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - kProcessStart)
           .count();
+
+  std::error_code ec;
+  std::filesystem::create_directories(dir + "/results", ec);
+  const std::string run_path = dir + "/results/run_" + m.tool + ".json";
+  if (obs::write_manifest(stamped, run_path)) {
+    std::printf("(manifest: %s)\n", run_path.c_str());
+  }
 
   const std::string path = summary_path(dir);
   std::map<std::string, std::string> entries = read_summary(path);

@@ -33,9 +33,12 @@ inline std::uint64_t noc_window() {
 /// Directory of the running executable (argv[0] based), for CSV output.
 std::string output_dir(const char* argv0);
 
-/// Print a titled table and write it to `<dir>/<slug>.csv`.
-void emit(const std::string& title, const Table& table,
-          const std::string& dir, const std::string& slug);
+/// Print a titled table and write it to `<dir>/results/<slug>.csv`.
+/// Returns the CSV's digest: FNV-1a 64 of its bytes, masked to 48 bits so
+/// obs::json_number prints it as an exact integer. A bench that records it
+/// as a metric puts its CSV under the regression gate's exact match.
+double emit(const std::string& title, const Table& table,
+            const std::string& dir, const std::string& slug);
 
 /// LeNet-5 trained on the procedural digit set. Trains once per build tree:
 /// the checkpoint is cached at `<dir>/lenet5_trained.weights` and reloaded
@@ -53,10 +56,11 @@ TrainedLenet trained_lenet(const std::string& cache_dir);
 ///  - upserts one `"<tool>": {...}` line into the aggregated summary
 ///    (default `<dir>/results/BENCH_summary.json`, path overridable via
 ///    NOCW_SUMMARY_JSON; schema nocw.bench_summary.v1, one bench per line
-///    so independent binaries merge without a JSON parser), with the
-///    bench's wall time since process start added as the wall_ms metric.
-/// `m` comes from obs::make_manifest, plus the bench's config strings and
-/// metrics (or an evaluator's annotate_manifest).
+///    so independent binaries merge without a JSON parser).
+/// Both carry the bench's wall time since process start as the wall_ms
+/// value of the `host` map.
+/// `m` comes from obs::make_manifest, plus the bench's config strings,
+/// metrics and host values (or an evaluator's annotate_manifest).
 /// Every bench calls this exactly once — tools/lint.py's [manifest] rule
 /// enforces registration. This is the single writer of the summary file.
 void write_summary(const std::string& dir, const obs::RunManifest& m);

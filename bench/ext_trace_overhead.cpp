@@ -174,20 +174,19 @@ int main(int, char** argv) {
               "ext_trace_overhead");
   if (wrote) obs::log("trace written to %s\n", trace_path.c_str());
 
-  bench::write_summary(
-      dir, "ext_trace_overhead",
-      {{"reps", reps},
-       {"disabled_ms_median", off_med_ms},
-       {"enabled_ms", on_ms},
-       {"gate_check_ns", gate_ns},
-       {"gate_checks_per_inference", static_cast<double>(checks)},
-       {"disabled_overhead_pct", disabled_overhead_pct},
-       {"bit_identical", bit_identical ? 1.0 : 0.0},
-       {"trace_events", static_cast<double>(events)},
-       {"trace_events_dropped", static_cast<double>(dropped)},
-       {"latency_cycles", r_on.latency.total().value()},
-       {"energy_j", r_on.energy.total().value()}},
-      m.name);
+  obs::RunManifest man = obs::make_manifest("ext_trace_overhead", m.name);
+  man.metrics = {{"reps", reps},
+                 {"gate_checks_per_inference", static_cast<double>(checks)},
+                 {"bit_identical", bit_identical ? 1.0 : 0.0},
+                 {"trace_events", static_cast<double>(events)},
+                 {"trace_events_dropped", static_cast<double>(dropped)},
+                 {"latency_cycles", r_on.latency.total().value()},
+                 {"energy_j", r_on.energy.total().value()}};
+  man.host = {{"disabled_ms_median", off_med_ms},
+              {"enabled_ms", on_ms},
+              {"gate_check_ns", gate_ns},
+              {"disabled_overhead_pct", disabled_overhead_pct}};
+  bench::write_summary(dir, man);
   const bool overhead_ok = disabled_overhead_pct < 1.0;
   if (!overhead_ok) {
     std::fprintf(stderr, "disabled-gate overhead %.4f%% is not under 1%%\n",

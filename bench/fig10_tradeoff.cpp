@@ -33,8 +33,19 @@ struct SeriesPoint {
   power::EnergyBreakdown energy;
 };
 
+// Prefix for one model's summary metrics: "lenet-5.d10.latency_cycles"
+// style keys feed the dashboard's δ-vs-latency/energy curves.
+std::string metric_key(const std::string& model, const std::string& tail) {
+  std::string lower = model;
+  for (char& c : lower) c = static_cast<char>(std::tolower(c));
+  return lower + "." + tail;
+}
+
+// Prints and writes the model's two CSVs; their digests join the summary
+// metrics so the regression gate compares the CSVs byte for byte.
 void emit_model(const std::string& dir, const nn::Model& model,
-                const std::vector<SeriesPoint>& series) {
+                const std::vector<SeriesPoint>& series,
+                std::map<std::string, double>& metrics) {
   const units::FracCycles lat0 = series.front().latency.total();
   const units::Joules e0 = series.front().energy.total();
 
@@ -47,8 +58,9 @@ void emit_model(const std::string& dir, const nn::Model& model,
                  fmt_fixed(p.latency.compute_cycles / lat0, 3),
                  fmt_fixed(p.latency.total() / lat0, 3)});
   }
-  bench::emit("Fig. 10: " + model.name + " accuracy vs normalized latency",
-              lat, dir, "fig10_" + model.name + "_latency");
+  metrics[metric_key(model.name, "latency_csv_digest")] = bench::emit(
+      "Fig. 10: " + model.name + " accuracy vs normalized latency", lat, dir,
+      "fig10_" + model.name + "_latency");
 
   Table en({"Config", "Accuracy", "Comm dyn", "Comm leak", "Comp dyn",
             "Comp leak", "LMem dyn", "LMem leak", "MMem dyn", "MMem leak",
@@ -65,16 +77,9 @@ void emit_model(const std::string& dir, const nn::Model& model,
                 fmt_fixed(p.energy.main_memory.leakage_j / e0, 3),
                 fmt_fixed(p.energy.total() / e0, 3)});
   }
-  bench::emit("Fig. 10: " + model.name + " accuracy vs normalized energy",
-              en, dir, "fig10_" + model.name + "_energy");
-}
-
-// Prefix for one model's summary metrics: "lenet-5.d10.latency_cycles"
-// style keys feed the dashboard's δ-vs-latency/energy curves.
-std::string metric_key(const std::string& model, const std::string& tail) {
-  std::string lower = model;
-  for (char& c : lower) c = static_cast<char>(std::tolower(c));
-  return lower + "." + tail;
+  metrics[metric_key(model.name, "energy_csv_digest")] = bench::emit(
+      "Fig. 10: " + model.name + " accuracy vs normalized energy", en, dir,
+      "fig10_" + model.name + "_energy");
 }
 
 void run_model(const std::string& dir, nn::Model& model,
@@ -111,7 +116,7 @@ void run_model(const std::string& dir, nn::Model& model,
     series.push_back(SeriesPoint{"x-" + fmt_fixed(p.delta_percent, 0),
                                  p.accuracy, comp.latency, comp.energy});
   }
-  emit_model(dir, model, series);
+  emit_model(dir, model, series, metrics);
 
   const auto& last = series.back();
   const double lat_red = 1.0 - last.latency.total() /

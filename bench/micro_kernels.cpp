@@ -5,7 +5,9 @@
 //
 // After the google-benchmark suite, main() runs a GEMM/conv thread-scaling
 // sweep (1, 2, 4, N threads) and records it in BENCH_summary.json, so the
-// perf trajectory of the parallel kernels can be tracked across runs.
+// perf trajectory of the parallel kernels can be tracked across runs: the
+// problem sizes and flop counts as metrics, the times, rates, speed-ups and
+// core count as host values.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -278,14 +280,14 @@ std::vector<unsigned> scaling_thread_counts() {
 
 // Per thread count: `<prefix>.t<n>.seconds`, `.gflops` and `.speedup`
 // (against the 1-thread time).
-void add_scaling(std::map<std::string, double>& metrics,
+void add_scaling(std::map<std::string, double>& host,
                  const std::string& prefix,
                  const std::vector<ScalePoint>& pts, double flops) {
   for (const auto& p : pts) {
     const std::string key = prefix + ".t" + std::to_string(p.threads) + ".";
-    metrics[key + "seconds"] = p.seconds;
-    metrics[key + "gflops"] = flops / p.seconds * 1e-9;
-    metrics[key + "speedup"] = pts.front().seconds / p.seconds;
+    host[key + "seconds"] = p.seconds;
+    host[key + "gflops"] = flops / p.seconds * 1e-9;
+    host[key + "speedup"] = pts.front().seconds / p.seconds;
   }
 }
 
@@ -331,9 +333,8 @@ void write_parallel_scaling_report(const std::string& dir) {
   }
   set_global_threads(1);
 
-  std::map<std::string, double> metrics{
-      {"hardware_concurrency",
-       static_cast<double>(std::thread::hardware_concurrency())},
+  obs::RunManifest man = obs::make_manifest("micro_kernels");
+  man.metrics = {
       {"gemm.m", kN},
       {"gemm.k", kN},
       {"gemm.n", kN},
@@ -344,9 +345,11 @@ void write_parallel_scaling_report(const std::string& dir) {
       {"conv.in_channels", kCin},
       {"conv.out_channels", kCout},
       {"conv.flops", conv_flops}};
-  add_scaling(metrics, "gemm", gemm_pts, gemm_flops);
-  add_scaling(metrics, "conv", conv_pts, conv_flops);
-  bench::write_summary(dir, "micro_kernels", metrics);
+  man.host["hardware_concurrency"] =
+      static_cast<double>(std::thread::hardware_concurrency());
+  add_scaling(man.host, "gemm", gemm_pts, gemm_flops);
+  add_scaling(man.host, "conv", conv_pts, conv_flops);
+  bench::write_summary(dir, man);
 }
 
 }  // namespace

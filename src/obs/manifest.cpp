@@ -104,13 +104,20 @@ std::string RunManifest::to_json() const {
   emit_string_map(os, "build", build, /*trailing_comma=*/true);
   emit_string_map(os, "env", env, /*trailing_comma=*/true);
   emit_string_map(os, "config", config, /*trailing_comma=*/true);
-  os << "\"metrics\":{";
+  os << "\"metrics\":" << json_number_map(metrics) << ",\n";
+  os << "\"host\":" << json_number_map(host) << "\n}\n";
+  return os.str();
+}
+
+std::string json_number_map(const std::map<std::string, double>& values) {
+  std::ostringstream os;
+  os << '{';
   std::size_t i = 0;
-  for (const auto& [k, v] : metrics) {
+  for (const auto& [k, v] : values) {
     if (i++ > 0) os << ',';
     os << "\"" << json_escape(k) << "\":" << json_number(v);
   }
-  os << "}\n}\n";
+  os << '}';
   return os.str();
 }
 

@@ -8,11 +8,13 @@
 // revision (read live from the source tree's .git, env-overridable), build
 // type/compiler (baked at configure time), every NOCW_*/REPRO_* environment
 // knob that was set, the driver's configuration strings, and a flat
-// name→value map of the run's tier-1 metrics. `to_json()` emits a line-wise
-// schema ("nocw.manifest.v1", one top-level key per line) that
-// tests/obs/manifest_schema_test.cpp pins and tools/obs_diff.py consumes.
-// The bench's wall time is not a manifest field: write_summary stamps it as
-// the wall_ms metric when the run ends.
+// name→value map of the run's tier-1 metrics, and a second map of the
+// host-dependent numbers (wall-clock times, rates, speed-ups, core counts).
+// `to_json()` emits a line-wise schema ("nocw.manifest.v1", one top-level
+// key per line) that tests/obs/manifest_schema_test.cpp pins and
+// tools/obs_diff.py consumes: every metric must match its baseline exactly,
+// host values are reported and never gated. The bench's wall time is
+// stamped into `host` as wall_ms by write_summary when the run ends.
 #pragma once
 
 #include <map>
@@ -36,6 +38,13 @@ struct RunManifest {
 
   int threads = 0;  ///< resolved worker count (NOCW_THREADS)
 
+  /// Host-dependent values: wall-clock times, rates, speed-ups, overhead
+  /// ratios and core counts. Declared here, where they are measured, so the
+  /// regression gate reports them without gating; everything in `metrics`
+  /// must reproduce bit for bit. (Declared after `threads` so every earlier
+  /// member keeps its offset.)
+  std::map<std::string, double> host;
+
   /// Line-wise JSON: {"schema":...}\n then one "key":value line per field.
   [[nodiscard]] std::string to_json() const;
 };
@@ -46,6 +55,12 @@ struct RunManifest {
 /// the resolved thread count.
 [[nodiscard]] RunManifest make_manifest(std::string tool,
                                         std::string model = "");
+
+/// `{"name":value,...}` on one line, in key order, each value through
+/// json_number: the form of the metrics and host maps in both the manifest
+/// and the bench summary.
+[[nodiscard]] std::string json_number_map(
+    const std::map<std::string, double>& values);
 
 /// Write `m.to_json()` to `path` (atomically: temp file + rename). Returns
 /// false when the file cannot be written.

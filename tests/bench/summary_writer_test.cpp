@@ -1,8 +1,9 @@
 // bench::write_summary promises: the aggregated summary is keyed by tool
 // (so repeated registration can never duplicate a key — last writer wins),
 // a second write_summary for one tool inside one process warns and is
-// counted instead of passing silently, and NOCW_REGRESS_STRICT=1 promotes
-// that warning to a hard CheckError.
+// counted instead of passing silently, NOCW_REGRESS_STRICT=1 promotes that
+// warning to a hard CheckError, and the stamped wall_ms lands in the host
+// map, which the regression gate never gates, not in the metrics.
 #include "bench_util.hpp"
 
 #include <gtest/gtest.h>
@@ -111,6 +112,39 @@ TEST_F(SummaryWriter, StrictModeTurnsDuplicateRegistrationIntoError) {
   // Back in warn-only mode the same duplicate passes again.
   write_summary(dir_, "strict_tool", {{"a", 3.0}});
   EXPECT_EQ(duplicate_summary_writes(), before + 2);
+}
+
+TEST_F(SummaryWriter, WallTimeLandsInHostMapNotMetrics) {
+  obs::RunManifest m = obs::make_manifest("host_tool");
+  m.metrics["latency_cycles"] = 42.0;
+  m.host["speedup"] = 2.5;
+  write_summary(dir_, m);
+
+  const std::string text = read_summary_file();
+  const std::size_t entry = text.find("\"host_tool\":");
+  ASSERT_NE(entry, std::string::npos) << text;
+  const std::string line = text.substr(entry, text.find('\n', entry) - entry);
+  const std::size_t metrics = line.find("\"metrics\":{");
+  const std::size_t host = line.find("\"host\":{");
+  ASSERT_NE(metrics, std::string::npos) << line;
+  ASSERT_NE(host, std::string::npos) << line;
+  ASSERT_LT(metrics, host) << line;
+  const std::string metrics_map = line.substr(metrics, host - metrics);
+  const std::string host_map = line.substr(host);
+  EXPECT_EQ(metrics_map, "\"metrics\":{\"latency_cycles\":42},") << line;
+  EXPECT_EQ(host_map.rfind("\"host\":{\"speedup\":2.5,\"wall_ms\":", 0), 0u)
+      << line;
+
+  // The run manifest carries the same stamped host map.
+  std::ifstream run(dir_ + "/results/run_host_tool.json");
+  std::ostringstream os;
+  os << run.rdbuf();
+  EXPECT_NE(os.str().find("\"host\":{\"speedup\":2.5,\"wall_ms\":"),
+            std::string::npos)
+      << os.str();
+  EXPECT_NE(os.str().find("\n\"metrics\":{\"latency_cycles\":42},\n"),
+            std::string::npos)
+      << os.str();
 }
 
 TEST_F(SummaryWriter, RewriteAcrossToolsPreservesOtherEntries) {

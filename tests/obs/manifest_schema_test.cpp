@@ -36,16 +36,17 @@ RunManifest sample_manifest() {
   m.config["selected_layer"] = "fc1";
   m.metrics["latency_cycles"] = 26530.5;
   m.metrics["energy_j"] = 2.2e-05;
+  m.host["gate_check_ns"] = 0.347;
   return m;
 }
 
 TEST(ManifestSchema, OneTopLevelKeyPerLineInFixedOrder) {
   const std::string json = sample_manifest().to_json();
   const std::vector<std::string> lines = lines_of(json);
-  // {schema, tool, model, threads, build, env, config, metrics, closing
-  //  brace} — exactly nine lines, order pinned. No wall-time field: the
-  //  summary's wall_ms metric is the one wall-clock record.
-  ASSERT_EQ(lines.size(), 9u) << json;
+  // {schema, tool, model, threads, build, env, config, metrics, host,
+  //  closing brace} — exactly ten lines, order pinned. No wall-time field:
+  //  write_summary stamps wall_ms into the host map when the run ends.
+  ASSERT_EQ(lines.size(), 10u) << json;
   EXPECT_EQ(lines[0], "{\"schema\":\"nocw.manifest.v1\",");
   EXPECT_EQ(lines[1], "\"tool\":\"schema_test\",");
   EXPECT_EQ(lines[2], "\"model\":\"LeNet-5\",");
@@ -53,14 +54,15 @@ TEST(ManifestSchema, OneTopLevelKeyPerLineInFixedOrder) {
   EXPECT_EQ(lines[4].rfind("\"build\":{", 0), 0u);
   EXPECT_EQ(lines[5].rfind("\"env\":{", 0), 0u);
   EXPECT_EQ(lines[6].rfind("\"config\":{", 0), 0u);
-  EXPECT_EQ(lines[7].rfind("\"metrics\":{", 0), 0u);
-  EXPECT_EQ(lines[8], "}");
+  EXPECT_EQ(lines[7],
+            "\"metrics\":{\"energy_j\":2.2e-05,\"latency_cycles\":26530.5},");
+  EXPECT_EQ(lines[8], "\"host\":{\"gate_check_ns\":0.347}");
+  EXPECT_EQ(lines[9], "}");
   // All but the final key line are comma-terminated (valid JSON when
-  // joined); the metrics line closes its object without a comma.
-  for (std::size_t i = 0; i < 7; ++i) {
+  // joined); the host line closes its object without a comma.
+  for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(lines[i].back(), ',') << "line " << i << ": " << lines[i];
   }
-  EXPECT_EQ(lines[7].back(), '}');
   EXPECT_EQ(json.find("wall_seconds"), std::string::npos);
 }
 

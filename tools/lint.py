@@ -17,6 +17,8 @@ and examples/:
   print, manifest, route, serve, trace-ctx, slo   the one sanctioned site for
       printing, bench registration, next hops, accelerator calls from
       serving, trace-id minting and SLO window alignment
+  host   wall-clock times, rates and speed-ups go in a bench's host map,
+      never its metrics map, which the regression gate matches exactly
 
 Suppression: a finding is dropped when its line, or the line above, carries
 `// nocw-analyze: allow(<id or prefix>)`, e.g. allow(units.value-launder) or
@@ -64,6 +66,7 @@ UNITS_DIRS = ("src/power/", "src/noc/", "src/accel/")
 NOCW_UNIT_RE = re.compile(r"^\s*NOCW_UNIT\((\w+)\)", re.M)
 SUPPRESS_RE = re.compile(r"//.*?nocw-analyze:\s*allow\(([\w.,\s-]+)\)")
 WRITE_SUMMARY_RE = re.compile(r"\bwrite_summary\s*\(")
+HOST_KEY_SUFFIXES = ("_ms", "_ns", "seconds", "gflops", "speedup")
 # A comment, or a string or character literal up to its closing quote or the
 # line's end. A quote after a word character is a digit separator (10'000).
 LEXEME_RE = re.compile(r"//[^\n]*|/\*.*?(?:\*/|\Z)|\"(?:\\.|[^\"\\\n])*\"?"
@@ -91,6 +94,13 @@ def field_bad(f: Source, groups: tuple[str, ...]) -> bool:
         return True
     return (f.rel.startswith(UNITS_DIRS) and name not in EXACT_UNIT_NAMES
             and not name.endswith(UNIT_SUFFIXES + DIMENSIONLESS_SUFFIXES))
+
+
+def host_key_bad(f: Source, groups: tuple[str, ...]) -> bool:
+    # The key ends with the subscript's last string literal:
+    # `metrics["dense_ms"]`, `metrics[key + "seconds"]`.
+    literals = re.findall(r'"((?:\\.|[^"\\])*)"', groups[0])
+    return bool(literals) and literals[-1].endswith(HOST_KEY_SUFFIXES)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,6 +196,14 @@ RULES = (
          "register with BENCH_summary.json so the regression gate "
          "(tools/obs_diff.py) covers it",
          lambda f, g: not WRITE_SUMMARY_RE.search(f.text)),
+    Rule("host",
+         re.compile(r"\bmetrics\s*\[([^\];{}]*)\]"),
+         ("bench/",), (),
+         "host-dependent key [{0}] written into a metrics map; wall-clock "
+         "times, rates and speed-ups go in the manifest's host map, which "
+         "the regression gate reports without gating, so that every metric "
+         "can match its baseline exactly",
+         host_key_bad),
     Rule("route",
          re.compile(r"\bdor_next_hop\s*\("),
          ("src/",), ("src/noc/routing.cpp", "src/noc/routing.hpp",
@@ -355,6 +373,14 @@ int main(int, char** argv) {
   (void)nocw::bench::output_dir(argv[0]);
   return 0;
 }
+=== bench/bad_host_metric.cpp host 3 5
+#include "bench_util.hpp"
+void f(nocw::obs::RunManifest& man, const std::string& key, double s) {
+  man.metrics["dense_ms"] = s;
+  man.metrics["latency_cycles"] = s;
+  man.metrics[key + "seconds"] =
+      s;
+}
 === src/accel/bad_route.cpp route 3
 #include "noc/routing.hpp"
 int hop(const nocw::noc::NocConfig& c) {
@@ -503,6 +529,14 @@ int main(int, char** argv) {
   const std::string dir = nocw::bench::output_dir(argv[0]);
   nocw::bench::write_summary(dir, "good", {{"x", 1.0}});
   return 0;
+}
+=== bench/good_host_metric.cpp
+#include "bench_util.hpp"
+void f(nocw::obs::RunManifest& man, const std::string& key, double s) {
+  man.host["dense_ms"] = s;
+  man.host[key + "gflops"] = s;
+  man.metrics[key + "flops"] = s;
+  man.metrics["speedup_cycles"] = s;  // metrics["x_ms"] in a comment
 }
 === bench/good_clock.cpp
 #include <chrono>

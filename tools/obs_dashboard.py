@@ -29,7 +29,7 @@ assets, so it survives as a CI artifact and opens anywhere:
      breached-window table whose exemplar trace ids link into the
      nocw.reqtrace.v1 export.
   5. A bench summary table (model, git short-sha, wall seconds from the
-     bench's wall_ms metric, #metrics, trace-sampling drop counters).
+     bench's host wall_ms value, #metrics, trace-sampling drop counters).
 
 Usage:
   tools/obs_dashboard.py --timeseries TS.json --summary SUMMARY.json \\
@@ -331,7 +331,7 @@ def summary_table(benches: dict) -> str:
             f"<tr><td>{html.escape(name)}</td>"
             f"<td>{html.escape(e.get('model', '') or '—')}</td>"
             f"<td><code>{html.escape(sha) or '—'}</code></td>"
-            f"<td>{e.get('metrics', {}).get('wall_ms', 0.0) / 1e3:.3f}</td>"
+            f"<td>{e.get('host', {}).get('wall_ms', 0.0) / 1e3:.3f}</td>"
             f"<td>{len(e.get('metrics', {}))}</td>"
             f"<td>{trace_drops(e)}</td></tr>")
     return ("<table><tr><th>bench</th><th>model</th><th>git sha</th>"
@@ -414,8 +414,8 @@ def self_test() -> int:
     ]}
     summary = {"schema": "nocw.bench_summary.v1", "benches": {
         "fig10_tradeoff": {"model": "", "git_sha": "abc123", "threads": 1,
+                           "host": {"wall_ms": 1500.0},
                            "metrics": {
-                               "wall_ms": 1500.0,
                                "lenet-5.d0.latency_cycles": 26530.0,
                                "lenet-5.d0.energy_j": 2.2e-05,
                                "lenet-5.d0.accuracy": 0.93,
@@ -425,11 +425,11 @@ def self_test() -> int:
                                "mini-vgg.d10.latency_cycles": 91000.0}},
         "ext_timeseries": {"model": "LeNet-5", "git_sha": "abc123",
                            "threads": 1,
-                           "metrics": {"bit_identical": 1.0,
-                                       "wall_ms": 40.0}},
+                           "metrics": {"bit_identical": 1.0},
+                           "host": {"wall_ms": 40.0}},
         "ext_serving": {"model": "LeNet-5", "git_sha": "abc123",
-                        "threads": 1, "metrics": {
-                            "wall_ms": 1500.0,
+                        "threads": 1, "host": {"wall_ms": 1500.0},
+                        "metrics": {
                             "fifo.l090.p50_cycles": 21011002.0,
                             "fifo.l090.p99_cycles": 39021290.0,
                             "fifo.l090.p999_cycles": 41007113.0,
@@ -444,8 +444,8 @@ def self_test() -> int:
                             "sjf.l150.goodput_rps": 1226.0,
                             "capacity_rps": 1260.0}},
         "ext_reqtrace": {"model": "LeNet-5", "git_sha": "abc123",
-                         "threads": 1, "metrics": {
-                             "wall_ms": 2000.0,
+                         "threads": 1, "host": {"wall_ms": 2000.0},
+                         "metrics": {
                              "fifo.l130.dropped_trees": 731.0,
                              "sjf.l130.dropped_trees": 729.0,
                              "exemplar_drops": 0.0,
