@@ -12,7 +12,9 @@
 //       to the plain sweep's, across NOCW_THREADS {1,2,8} and repeats —
 //       hooks observe, they never feed back.
 //   (2) Overhead: tail-sampled tracing (hooks on) costs < 1% wall-clock
-//       over the plain sweep, min-over-reps on the 1-thread arm.
+//       over the plain sweep: the median over reps of the paired
+//       difference between hooked and plain serving loops, on the 1-thread
+//       arm.
 //   (3) Exemplars: every breached SLO window names an exemplar trace the
 //       sink retained, and its span tree's root latency equals the
 //       window's recorded max (shed exemplar for shed-only windows); at
@@ -234,10 +236,11 @@ int main(int, char** argv) {
   // both arms, it cancels exactly), and run-to-run noise on ~100 ms swamps
   // a ~1 ms hook cost — a naive on/off sweep comparison cannot resolve a
   // 1% bound. Following ext_trace_overhead's estimator idiom, the gated
-  // number measures the *difference* directly: the per-point serving loops
-  // run paired (hooks off / hooks on) on one shared profiled sim many
-  // times; the aggregate extra, scaled to one sweep, is compared against
-  // the plain sweep's median wall-clock.
+  // number measures the *difference* directly: each rep runs the per-point
+  // serving loops once plain and once hooked on one shared profiled sim,
+  // in alternating order, and the median of the per-rep differences,
+  // which slow drift across reps cannot bias, is compared against the
+  // plain sweep's median wall-clock.
   const serve::ServeSim shared_sim(cfg.serve, classes);
   const double cap_rpc = eval::capacity_requests_per_cycle(
       shared_sim.classes(), shared_sim.profiles(), cfg.serve.batch.max_batch);
@@ -253,19 +256,17 @@ int main(int, char** argv) {
     grid_arrivals.push_back(
         serve::generate_arrivals(shared_sim.classes(), acfg));
   }
-  const int loop_reps =
-      static_cast<int>(env_int("REPRO_REQTRACE_LOOPS", 24, 1));
-  double plain_loop_s = 0.0;
-  double hooked_loop_s = 0.0;
-  for (int rep = 0; rep < loop_reps; ++rep) {
-    t0 = std::chrono::steady_clock::now();
+  const auto plain_loop_s = [&] {
+    const auto start = std::chrono::steady_clock::now();
     for (const std::vector<serve::Arrival>& arr : grid_arrivals) {
       for (const std::string& sched : cfg.schedulers) {
         (void)shared_sim.run(arr, *serve::make_scheduler(sched), nullptr);
       }
     }
-    plain_loop_s += elapsed_s(t0);
-    t0 = std::chrono::steady_clock::now();
+    return elapsed_s(start);
+  };
+  const auto hooked_loop_s = [&] {
+    const auto start = std::chrono::steady_clock::now();
     for (std::size_t li = 0; li < grid_arrivals.size(); ++li) {
       for (const std::string& sched : cfg.schedulers) {
         obs::SloMonitor slo(shared_sim.classes().size(), ocfg.slo);
@@ -281,11 +282,22 @@ int main(int, char** argv) {
                              hooks);
       }
     }
-    hooked_loop_s += elapsed_s(t0);
+    return elapsed_s(start);
+  };
+  const int loop_reps =
+      static_cast<int>(env_int("REPRO_REQTRACE_LOOPS", 24, 1));
+  std::vector<double> extra_s;  // hooked - plain, one per rep
+  for (int rep = 0; rep < loop_reps; ++rep) {
+    if (rep % 2 == 0) {
+      const double plain = plain_loop_s();
+      extra_s.push_back(hooked_loop_s() - plain);
+    } else {
+      const double hooked = hooked_loop_s();
+      extra_s.push_back(hooked - plain_loop_s());
+    }
   }
   const double plain_med = median(plain_s);
-  const double extra_per_sweep_s =
-      (hooked_loop_s - plain_loop_s) / static_cast<double>(loop_reps);
+  const double extra_per_sweep_s = median(extra_s);
   const double overhead =
       plain_med > 0.0 ? extra_per_sweep_s / plain_med : 0.0;
 

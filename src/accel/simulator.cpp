@@ -222,8 +222,8 @@ AcceleratorSim::NocPhase AcceleratorSim::run_noc_phase(
   // collapses those repeats to one cycle-accurate run per distinct volume
   // pair. Bypassed when the run has per-call side channels — a time-series
   // sink or live NoC tracing must fire on every call, not once.
-  const bool cacheable = cfg_.reuse_noc_phases && cfg_.series == nullptr &&
-                         !NOCW_TRACE_ON(obs::kCatNoc);
+  const bool cacheable =
+      cfg_.series == nullptr && !NOCW_TRACE_ON(obs::kCatNoc);
   const auto key = std::make_tuple(scatter_flits.value(),
                                    gather_flits.value(), env_sig_);
   if (cacheable) {

@@ -66,13 +66,6 @@ struct AccelConfig {
   /// backwards).
   obs::TimeSeriesSet* series = nullptr;
   std::uint64_t series_interval_cycles = 256;
-  /// Memoize cycle-accurate NoC phase runs by (scatter, gather) flit volume.
-  /// Under one simulator config those volumes fully determine the compiled
-  /// packet sequence and hence the phase result, and δ-sweeps re-simulate
-  /// every unchanged layer once per grid point — the cache collapses those
-  /// repeats to one run each. Automatically bypassed when a run has
-  /// per-call side channels (time-series sink attached, NoC tracing live).
-  bool reuse_noc_phases = true;
 };
 
 /// Per-layer override installed by the compression flow: the selected
@@ -181,9 +174,10 @@ class AcceleratorSim {
     return live_pes_;
   }
 
-  /// NoC phase-cache effectiveness counters (see AccelConfig::
-  /// reuse_noc_phases); accumulated across every simulate() call on this
-  /// instance.
+  /// NoC phase-cache counters, accumulated across every simulate() call on
+  /// this instance. Phase runs are memoized by (scatter, gather) flit
+  /// volume; a run with a time-series sink or live NoC tracing bypasses the
+  /// cache.
   [[nodiscard]] std::uint64_t noc_phase_cache_hits() const;
   [[nodiscard]] std::uint64_t noc_phase_cache_misses() const;
 

@@ -60,11 +60,11 @@ class Tensor {
   [[nodiscard]] const float* raw() const noexcept { return data_.data(); }
 
   float& operator[](std::size_t i) {
-    NOCW_DCHECK_LT(i, data_.size());
+    NOCW_CHECK_LT(i, data_.size());
     return data_[i];
   }
   float operator[](std::size_t i) const {
-    NOCW_DCHECK_LT(i, data_.size());
+    NOCW_CHECK_LT(i, data_.size());
     return data_[i];
   }
 
@@ -78,11 +78,11 @@ class Tensor {
 
   /// (N, C) element access for rank-2 tensors.
   float& at(int n, int c) {
-    NOCW_DCHECK_EQ(rank(), 2);
+    NOCW_CHECK_EQ(rank(), 2);
     return data_[static_cast<std::size_t>(n) * shape_[1] + c];
   }
   const float& at(int n, int c) const {
-    NOCW_DCHECK_EQ(rank(), 2);
+    NOCW_CHECK_EQ(rank(), 2);
     return data_[static_cast<std::size_t>(n) * shape_[1] + c];
   }
 
@@ -97,9 +97,9 @@ class Tensor {
 
  private:
   [[nodiscard]] std::size_t flat_index(int n, int h, int w, int c) const {
-    NOCW_DCHECK_EQ(rank(), 4);
-    NOCW_DCHECK(n >= 0 && n < shape_[0] && h >= 0 && h < shape_[1]);
-    NOCW_DCHECK(w >= 0 && w < shape_[2] && c >= 0 && c < shape_[3]);
+    NOCW_CHECK_EQ(rank(), 4);
+    NOCW_CHECK(n >= 0 && n < shape_[0] && h >= 0 && h < shape_[1]);
+    NOCW_CHECK(w >= 0 && w < shape_[2] && c >= 0 && c < shape_[3]);
     return ((static_cast<std::size_t>(n) * shape_[1] + h) * shape_[2] + w) *
                shape_[3] +
            c;

@@ -1,18 +1,8 @@
 #include "noc/config.hpp"
 
 #include <cstdlib>
-#include <string>
-
-#include "util/env.hpp"
 
 namespace nocw::noc {
-
-EngineMode engine_from_env(EngineMode configured) {
-  const std::string v = env_string("NOCW_NOC_ENGINE", "");
-  if (v == "dense") return EngineMode::Dense;
-  if (v == "event") return EngineMode::Event;
-  return configured;
-}
 
 std::vector<int> NocConfig::memory_interface_nodes() const {
   std::vector<int> out;

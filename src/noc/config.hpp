@@ -51,28 +51,6 @@ struct ResilienceConfig {
   }
 };
 
-/// Cycle-engine selection (DESIGN.md §11). Both engines share one switch
-/// core and are bit-identical in every observable output (stats, latency,
-/// energy, samples, time series); they differ only in how the run loops
-/// advance time.
-enum class EngineMode {
-  /// Reference engine: tick every cycle, walk every router, re-scan the
-  /// whole network for the drain condition. Kept for differential testing.
-  Dense,
-  /// Event engine: O(1) drain tracking, empty routers skipped inside a
-  /// cycle, and fully idle stretches advanced in one jump to the next
-  /// source-release event (sampling hooks still fire on every crossed
-  /// interval boundary). Falls back to dense-equivalent per-cycle stepping
-  /// while fault injection is active, whose per-(entity, cycle) counters
-  /// must tick even on idle cycles.
-  Event,
-};
-
-/// Resolve the engine actually used: NOCW_NOC_ENGINE=dense|event overrides
-/// `configured` (for differential runs of unmodified benches); anything
-/// else, or unset, keeps the configured mode.
-[[nodiscard]] EngineMode engine_from_env(EngineMode configured);
-
 struct NocConfig {
   int width = 4;             ///< mesh columns
   int height = 4;            ///< mesh rows
@@ -93,9 +71,6 @@ struct NocConfig {
   ProtectionConfig protection;
   /// Fault-aware routing + escalation. Off by default (zero overhead).
   ResilienceConfig resilience;
-  /// Cycle engine (see EngineMode). Event is the default; results are
-  /// bit-identical to Dense by construction.
-  EngineMode engine = EngineMode::Event;
 
   [[nodiscard]] int node_count() const noexcept { return width * height; }
   [[nodiscard]] int node_x(int id) const noexcept { return id % width; }

@@ -12,7 +12,6 @@ namespace nocw::noc {
 Network::Network(const NocConfig& cfg)
     : cfg_(cfg), lanes_(cfg), fault_(cfg.fault, cfg.node_count(), cfg.width),
       health_(cfg.node_count()) {
-  engine_ = engine_from_env(cfg_.engine);
   protect_ = cfg_.protection.crc;
   carry_payload_ = protect_ || fault_.enabled();
   adaptive_ = cfg_.resilience.adaptive();
@@ -36,9 +35,9 @@ Network::Network(const NocConfig& cfg)
   if (trace_sample_ == 0) trace_sample_ = 1;
   // The fast path caches DOR head routes; any table-driven rerouting would
   // invalidate those caches mid-run, so adaptive mode pins the reference
-  // switch loop (PR 6's bit-identity gate makes both produce equal stats).
-  fast_switch_ = engine_ == EngineMode::Event && !fault_.enabled() &&
-                 !trace_noc_ && !adaptive_ && lanes_.slots() <= 64;
+  // switch loop (both produce equal stats wherever both apply).
+  fast_switch_ = !fault_.enabled() && !trace_noc_ && !adaptive_ &&
+                 lanes_.slots() <= 64;
   if (fast_switch_) {
     occ_mask_.assign(static_cast<std::size_t>(cfg_.node_count()), 0);
     fresh_mask_.assign(static_cast<std::size_t>(cfg_.node_count()), 0);
@@ -424,11 +423,10 @@ void Network::switch_phase() {
     }
     return;
   }
-  // The event engine skips occupancy-free routers here too, unless faults
-  // are on: their counters tick per router per cycle.
-  const bool skip_empty = engine_ == EngineMode::Event && !faulty;
+  // Occupancy-free routers are skipped here too, unless faults are on:
+  // their counters tick per router per cycle.
   for (int rid = 0; rid < n; ++rid) {
-    if (skip_empty && router_occ_[static_cast<std::size_t>(rid)] == 0) {
+    if (!faulty && router_occ_[static_cast<std::size_t>(rid)] == 0) {
       continue;
     }
     if (faulty && fault_.router_stalled(stats_.cycles.value(), rid)) {
@@ -652,7 +650,7 @@ void Network::sample_series() {
   series_prev_links_ = stats_.link_traversals;
 }
 
-bool Network::drained() const noexcept {
+bool Network::drained() const {
   // queued_total_ counts every flit not yet injected, including the rest of
   // any packet mid-injection, so it doubles as the active-source check.
   // Flushed flits left the network without ejecting (their packets were
@@ -673,7 +671,7 @@ std::uint64_t Network::undelivered_flits() const noexcept {
   return n + buffered_flits();
 }
 
-bool Network::idle_now() const noexcept {
+bool Network::idle_now() const {
   // Stepping would be a pure no-op: nothing buffered (conservation), no
   // source mid-packet, and no fault counters that tick on idle cycles.
   // (flits_flushed is always zero here: flushes require faults.)
@@ -693,12 +691,12 @@ std::uint64_t Network::next_source_release() const noexcept {
 }
 
 void Network::advance_idle(std::uint64_t target) {
-  NOCW_DCHECK_GT(target, stats_.cycles.value());
+  NOCW_CHECK_GT(target, stats_.cycles.value());
   idle_cycles_skipped_ += target - stats_.cycles.value();
-  // With a series sink attached, jump in hops so every sampling boundary a
-  // dense engine would have hit still fires, in increasing cycle order. The
+  // With a series sink attached, jump in hops so every sampling boundary
+  // that stepping would hit still fires, in increasing cycle order. The
   // network is empty, so the queue depth and window deltas are exactly the
-  // zeros dense reports.
+  // zeros stepping reports.
   while (series_ != nullptr && stats_.cycles.value() < target) {
     const std::uint64_t b =
         (stats_.cycles.value() / series_interval_cycles_ + 1) *
@@ -785,19 +783,6 @@ std::uint64_t Network::run_until_drained(std::uint64_t max_cycles) {
   const std::uint64_t deadline =
       max_cycles > ~std::uint64_t{0} - start ? ~std::uint64_t{0}
                                              : start + max_cycles;
-  if (engine_ == EngineMode::Dense) {
-    // Reference loop: re-derive the drain condition from a full network
-    // walk every cycle, exactly as the pre-event-engine core did.
-    while (undelivered_flits() != 0) {
-      if (stats_.cycles.value() >= deadline) throw_drain_timeout(max_cycles);
-      step_cycle();
-      if (stats_.cycles.value() % kInvariantCheckInterval == 0) {
-        check_invariants();
-      }
-    }
-    check_invariants();
-    return stats_.cycles.value() - start;
-  }
   while (!drained()) {
     if (stats_.cycles.value() >= deadline) throw_drain_timeout(max_cycles);
     if (idle_now()) {
@@ -805,7 +790,7 @@ std::uint64_t Network::run_until_drained(std::uint64_t max_cycles) {
       if (next > stats_.cycles.value()) {
         // Nothing in flight and the earliest release is ahead: jump to it,
         // clamped to the deadline so the deadlock guard still fires at the
-        // same cycle a dense run would report.
+        // same cycle a stepped run would report.
         advance_idle(std::min(next, deadline));
         continue;
       }
@@ -816,6 +801,9 @@ std::uint64_t Network::run_until_drained(std::uint64_t max_cycles) {
     }
   }
   check_invariants();
+  // The O(1) drain condition above, confirmed once by a full walk of the
+  // sources and every lane.
+  NOCW_CHECK_EQ(undelivered_flits(), std::uint64_t{0});
   return stats_.cycles.value() - start;
 }
 
@@ -849,7 +837,7 @@ void Network::check_invariants() const {
   // One latency sample per ejected packet (Fig. 2 latency feeds off this).
   NOCW_CHECK_EQ(stats_.packet_latency.count(), stats_.packets_ejected);
   // The O(1) drain-tracking counters must agree with a full walk over the
-  // sources, or the event engine could terminate early or spin forever.
+  // sources, or run_until_drained could stop early or spin forever.
   std::uint64_t queued = 0;
   int active = 0;
   for (const auto& s : sources_) {

@@ -8,18 +8,18 @@
 // against a cycle-boundary occupancy snapshot plus this cycle's arrivals
 // (credits updated at cycle edges, i.e. one cycle of credit-return latency),
 // which makes the switch core independent of router visit order — the
-// property the event engine's empty-router skip relies on. All router state
-// lives in one flat LaneStore. The core is serial by design; NoC parallelism
-// lives at sweep level (DESIGN.md §11).
+// property the empty-router skip relies on. All router state lives in one
+// flat LaneStore. The core is serial by design; NoC parallelism lives at
+// sweep level (DESIGN.md §11).
 // Sources hold packet descriptors (not expanded flits), so streaming a
 // multi-million-flit layer costs O(1) memory per flow.
 //
-// Two run-loop engines share this switch core (EngineMode, DESIGN.md §11):
-// the dense reference ticks every cycle and re-scans the network for the
-// drain condition; the event engine tracks drain state in O(1), skips empty
-// routers inside a cycle, and jumps over fully idle stretches to the next
-// source-release event while still firing every sampling hook on the
-// interval boundaries it crosses. Both produce bit-identical results.
+// The run loop is event-driven (DESIGN.md §11): it tracks drain state in
+// O(1), skips empty routers inside a cycle, and jumps over fully idle
+// stretches to the next source-release event while still firing every
+// sampling hook on the interval boundaries it crosses. run_cycles() steps
+// every cycle and never jumps, so it is the stepped oracle the jumping loop
+// is tested against.
 #pragma once
 
 #include <cstdint>
@@ -76,9 +76,6 @@ class Network {
 
   const NocConfig& config() const noexcept { return cfg_; }
 
-  /// Engine actually in use (cfg.engine after the NOCW_NOC_ENGINE override).
-  [[nodiscard]] EngineMode engine() const noexcept { return engine_; }
-
   /// Queue a packet for injection at its source node. Packets become
   /// eligible at release_cycle and inject one flit per cycle per node.
   void add_packet(const PacketDescriptor& p);
@@ -87,14 +84,17 @@ class Network {
   /// True when no pending, queued, or in-flight flits remain. O(1): the
   /// sources maintain their queued-flit total and router occupancy equals
   /// flits_injected - flits_ejected (conservation, cross-checked by
-  /// check_invariants()).
-  [[nodiscard]] bool drained() const noexcept;
+  /// check_invariants()). Not noexcept: the checked flit add throws
+  /// CheckError on a wrap rather than terminating.
+  [[nodiscard]] bool drained() const;
 
-  /// Step until drained; returns cycles executed. Throws DrainTimeoutError
-  /// naming an offending in-flight or queued packet (source/dest/tag) if
-  /// max_cycles elapse first (deadlock guard).
+  /// Step until drained, jumping over idle stretches; returns cycles
+  /// executed. Throws DrainTimeoutError naming an offending in-flight or
+  /// queued packet (source/dest/tag) if max_cycles elapse first (deadlock
+  /// guard). On return a full walk confirms nothing is left undelivered.
   std::uint64_t run_until_drained(std::uint64_t max_cycles);
 
+  /// Step exactly `n` cycles, one at a time (no idle jumps).
   void run_cycles(std::uint64_t n);
 
   [[nodiscard]] const NocStats& stats() const noexcept { return stats_; }
@@ -115,9 +115,9 @@ class Network {
   /// Walks the whole network; the run loops use drained() instead.
   [[nodiscard]] std::uint64_t undelivered_flits() const noexcept;
 
-  /// Cycles the event engine advanced over without stepping (idle jumps).
+  /// Cycles run_until_drained advanced over without stepping (idle jumps).
   /// Diagnostics only — deliberately not part of NocStats, whose counters
-  /// are gated bit-identical across engines.
+  /// must not depend on whether a stretch was jumped or stepped.
   [[nodiscard]] std::uint64_t idle_cycles_skipped() const noexcept {
     return idle_cycles_skipped_;
   }
@@ -147,9 +147,9 @@ class Network {
   /// inference-global timeline (obs::time_base() + local cycle). Pass
   /// nullptr to detach. Detached cost is one pointer-null branch per cycle
   /// and sampling never mutates engine state, so simulation results are
-  /// bit-identical with the sink on or off. The event engine fires the
-  /// same boundary samples when it jumps over idle stretches (the deltas
-  /// are zero then, exactly as a dense tick would report).
+  /// bit-identical with the sink on or off. An idle jump fires the same
+  /// boundary samples as stepping those cycles would (the deltas are zero
+  /// then).
   void set_series_sink(obs::TimeSeriesSet* sink,
                        std::uint64_t interval_cycles);
 
@@ -218,11 +218,11 @@ class Network {
   /// traversals arrive in their downstream lanes, ejections and counters go
   /// to ctx_.
   void switch_phase();
-  /// Candidate-mask allocation for one router — the event engine's fast
-  /// path. Bit-identical to the reference loop in switch_phase (same
-  /// winners, same order); only the scan is restructured around per-output
-  /// head bitmasks. Gated off under faults and live NoC tracing, which
-  /// hook the reference loop per entity.
+  /// Candidate-mask allocation for one router — the switch's fast path.
+  /// Bit-identical to the reference loop in switch_phase (same winners,
+  /// same order); only the scan is restructured around per-output head
+  /// bitmasks. Gated off under faults and live NoC tracing, which hook the
+  /// reference loop per entity.
   [[gnu::always_inline]] void switch_router_fast(int rid);
   /// Write a granted or injected flit into `lane` of `router`; on the fast
   /// path, an arrival into an empty lane becomes its (fresh) head.
@@ -235,12 +235,12 @@ class Network {
   void step_cycle();
   /// True when stepping the current cycle would change nothing but the
   /// cycle counter: nothing buffered, no source mid-packet, faults off.
-  [[nodiscard]] bool idle_now() const noexcept;
+  [[nodiscard]] bool idle_now() const;
   /// Earliest release cycle over all pending packets (UINT64_MAX if none).
   [[nodiscard]] std::uint64_t next_source_release() const noexcept;
-  /// Jump the clock to `target`, emitting the queue-depth and time-series
-  /// samples a dense engine would have produced on every interval boundary
-  /// in (current, target].
+  /// Jump the clock to `target`, emitting the time-series samples that
+  /// stepping would have produced on every interval boundary in
+  /// (current, target].
   void advance_idle(std::uint64_t target);
   [[noreturn]] void throw_drain_timeout(std::uint64_t max_cycles) const;
   void eject_flit(const Flit& f, int node);
@@ -273,7 +273,6 @@ class Network {
   }
 
   NocConfig cfg_;
-  EngineMode engine_ = EngineMode::Event;
   LaneStore lanes_;
   std::vector<Source> sources_;
   NocStats stats_;
@@ -314,9 +313,9 @@ class Network {
   /// The switch pass's deferred effects; persistent so per-cycle stepping
   /// does not allocate.
   SwitchCtx ctx_;
-  /// Fixed at construction: the run may use switch_router_fast (event
-  /// engine, faults off, tracing off, slot count within one bitmask).
-  /// Engine, fault and trace state never change after construction, so
+  /// Fixed at construction: the run may use switch_router_fast (faults
+  /// off, tracing off, DOR routing, slot count within one bitmask).
+  /// Fault, trace and routing modes never change after construction, so
   /// the incremental occupancy masks below are maintained iff this is set.
   bool fast_switch_ = false;
   /// Live occupied-slot bitmask per router (bit = slot = port * vcs + vc),
@@ -332,7 +331,7 @@ class Network {
   std::uint32_t next_packet_id_ = 1;
   std::function<void(const Flit&, std::uint64_t)> eject_hook_;
 
-  // O(1) drain tracking (event engine; cross-checked by check_invariants).
+  // O(1) drain tracking (cross-checked by check_invariants).
   std::uint64_t queued_total_ = 0;  ///< sum of sources' queued_flits
   int active_sources_ = 0;          ///< sources mid-packet
   std::uint64_t idle_cycles_skipped_ = 0;

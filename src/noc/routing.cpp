@@ -138,7 +138,7 @@ void RouteTable::build_destination(int dst, const HealthMap& health) {
       }
       if (pick == kUnreachable) pick = d;
     }
-    NOCW_DCHECK(pick != kUnreachable);  // BFS reached u through one of these
+    NOCW_CHECK(pick != kUnreachable);  // BFS reached u through one of these
     at(u) = static_cast<std::int8_t>(pick);
   }
   // Phase B: nodes outside region A route West along a live west chain into

@@ -3,10 +3,9 @@
 // The cycle-accurate counters feed the back-annotated energy model, so a
 // silent counter drift or credit underflow corrupts every downstream figure.
 // NOCW_CHECK* are therefore *always on*, in every build type: they guard
-// cold, per-batch invariants (flit conservation, credit ranges, unit sanity)
-// where the cost is negligible next to the cost of a wrong answer.
-// NOCW_DCHECK* compile away under NDEBUG and belong on hot per-element paths
-// (FIFO push/pop, tensor indexing) where the old `assert`s lived.
+// per-batch invariants (flit conservation, credit ranges, unit sanity) and
+// the hot per-element paths (FIFO push/pop, tensor indexing) alike, where
+// the cost is negligible next to the cost of a wrong answer.
 //
 // A failed check throws nocw::CheckError with the expression text and, for
 // the binary forms, both operand values:
@@ -76,24 +75,3 @@ std::string describe(const A& a, const B& b) {
 #define NOCW_CHECK_LE(a, b) NOCW_CHECK_OP_(<=, a, b)
 #define NOCW_CHECK_GT(a, b) NOCW_CHECK_OP_(>, a, b)
 #define NOCW_CHECK_GE(a, b) NOCW_CHECK_OP_(>=, a, b)
-
-// Debug-only variants for hot paths. Under NDEBUG the condition is placed in
-// an unevaluated sizeof so operands still count as used (no -Wunused under
-// -Werror) but no code is generated.
-#ifndef NDEBUG
-#define NOCW_DCHECK(cond) NOCW_CHECK(cond)
-#define NOCW_DCHECK_EQ(a, b) NOCW_CHECK_EQ(a, b)
-#define NOCW_DCHECK_NE(a, b) NOCW_CHECK_NE(a, b)
-#define NOCW_DCHECK_LT(a, b) NOCW_CHECK_LT(a, b)
-#define NOCW_DCHECK_LE(a, b) NOCW_CHECK_LE(a, b)
-#define NOCW_DCHECK_GT(a, b) NOCW_CHECK_GT(a, b)
-#define NOCW_DCHECK_GE(a, b) NOCW_CHECK_GE(a, b)
-#else
-#define NOCW_DCHECK(cond) static_cast<void>(sizeof(!(cond)))
-#define NOCW_DCHECK_EQ(a, b) static_cast<void>(sizeof(!((a) == (b))))
-#define NOCW_DCHECK_NE(a, b) static_cast<void>(sizeof(!((a) != (b))))
-#define NOCW_DCHECK_LT(a, b) static_cast<void>(sizeof(!((a) < (b))))
-#define NOCW_DCHECK_LE(a, b) static_cast<void>(sizeof(!((a) <= (b))))
-#define NOCW_DCHECK_GT(a, b) static_cast<void>(sizeof(!((a) > (b))))
-#define NOCW_DCHECK_GE(a, b) static_cast<void>(sizeof(!((a) >= (b))))
-#endif

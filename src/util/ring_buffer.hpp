@@ -49,7 +49,7 @@ class RingBuffers {
 
   /// Push one element; caller must check !full(ring) first.
   void push(std::size_t ring, T value) {
-    NOCW_DCHECK(!full(ring));
+    NOCW_CHECK(!full(ring));
     std::size_t at = head_[ring] + size_[ring];
     if (at >= capacity_) at -= capacity_;
     slots_[ring * capacity_ + at] = std::move(value);
@@ -58,13 +58,13 @@ class RingBuffers {
 
   /// Front element; caller must check !empty(ring) first.
   [[nodiscard]] const T& front(std::size_t ring) const {
-    NOCW_DCHECK(!empty(ring));
+    NOCW_CHECK(!empty(ring));
     return slots_[ring * capacity_ + head_[ring]];
   }
 
   /// Pop and return the front element; caller must check !empty(ring).
   T pop(std::size_t ring) {
-    NOCW_DCHECK(!empty(ring));
+    NOCW_CHECK(!empty(ring));
     std::uint8_t& head = head_[ring];
     T value = std::move(slots_[ring * capacity_ + head]);
     const std::size_t next = head + std::size_t{1};

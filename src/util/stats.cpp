@@ -10,7 +10,7 @@ namespace nocw {
 double percentile_sorted(std::span<const double> sorted, double p) {
   if (sorted.empty()) return std::numeric_limits<double>::quiet_NaN();
   for (std::size_t i = 1; i < sorted.size(); ++i) {
-    NOCW_DCHECK(sorted[i - 1] <= sorted[i]);
+    NOCW_CHECK(sorted[i - 1] <= sorted[i]);
   }
   p = std::clamp(p, 0.0, 100.0);
   // All-equal samples: return the value itself, bit-exact for every p. The

@@ -36,7 +36,8 @@
 //     out-of-range magnitudes.
 //
 // The types are trivially-copyable single-word wrappers; every operation is
-// inline arithmetic (bench/ext_engine_speed gates the no-regression claim).
+// inline arithmetic (perfbench's noc_reference workload times the NoC loop
+// that uses them most).
 // Conversion factors are applied in exactly the order the pre-typed code
 // used, so all exported figures stay bit-identical.
 #pragma once

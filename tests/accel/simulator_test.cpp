@@ -10,6 +10,7 @@
 #include "nn/models.hpp"
 #include "noc/network.hpp"
 #include "noc/traffic.hpp"
+#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 
 namespace nocw::accel {
@@ -142,6 +143,59 @@ TEST(Simulator, DeterministicAcrossRuns) {
   const InferenceResult b = sim.simulate(s);
   EXPECT_DOUBLE_EQ(a.latency.total().value(), b.latency.total().value());
   EXPECT_DOUBLE_EQ(a.energy.total().value(), b.energy.total().value());
+}
+
+/// Every layer's latency and energy components, in layer order.
+std::vector<double> layer_values(const InferenceResult& r) {
+  std::vector<double> v;
+  for (const LayerResult& l : r.layers) {
+    const LatencyBreakdown& t = l.latency;
+    for (const units::FracCycles c : {t.memory_cycles, t.comm_cycles,
+                                      t.compute_cycles, t.overlap_cycles}) {
+      v.push_back(c.value());
+    }
+    const power::EnergyBreakdown& e = l.energy;
+    for (const power::EnergyComponent& c :
+         {e.communication, e.computation, e.local_memory, e.main_memory}) {
+      v.push_back(c.dynamic_j.value());
+      v.push_back(c.leakage_j.value());
+    }
+  }
+  return v;
+}
+
+TEST(Simulator, PhaseCacheMatchesUncachedSweep) {
+  // A δ-sweep in miniature: the baseline, then plans that each recompress
+  // one layer, all on one simulator so unchanged layers hit the cache. A
+  // simulator with a time-series sink bypasses the cache, so rerunning each
+  // plan there is the uncached reference.
+  const ModelSummary s = summarize(nn::make_lenet5());
+  std::vector<CompressionPlan> plans(1);  // the baseline: no plan
+  for (const char* name : {"dense_1", "conv_2"}) {
+    const LayerSummary* layer = s.find(name);
+    ASSERT_NE(layer, nullptr);
+    for (const std::uint64_t ratio : {2u, 3u, 4u, 8u}) {
+      plans.push_back({{name, {layer->weight_count * 32 / ratio,
+                               layer->weight_count}}});
+    }
+  }
+  AcceleratorSim cached(fast_cfg());
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "plan " << i);
+    const CompressionPlan& plan = plans[i];
+    const InferenceResult hit = cached.simulate(s, &plan);
+    obs::TimeSeriesSet series;
+    AccelConfig cfg = fast_cfg();
+    cfg.series = &series;
+    AcceleratorSim uncached(cfg);
+    const InferenceResult miss = uncached.simulate(s, &plan);
+    EXPECT_EQ(uncached.noc_phase_cache_hits(), 0u);
+    EXPECT_EQ(uncached.noc_phase_cache_misses(), 0u);
+    EXPECT_EQ(layer_values(hit), layer_values(miss));
+  }
+  // The baseline's seven layer phases, then one new phase per plan.
+  EXPECT_GT(cached.noc_phase_cache_hits(), 0u);
+  EXPECT_EQ(cached.noc_phase_cache_misses(), 15u);
 }
 
 TEST(Simulator, MobilenetSimulatesInReasonableTime) {

@@ -1,13 +1,12 @@
 // Golden full-phase statistics and the bottleneck bound.
 //
-// The dense and event engines share one lane store and one switch core, so
-// comparing them cannot catch a bug in that shared code. These cases pin
-// the exact results of three full default-4x4 phase_traffic phases (32-flit
-// packets), recorded before the lane store replaced the per-router FIFOs:
-// cycles, the latency sum and variance, the event counters, and every
-// per-link and per-node count. Both engines must reproduce them bit for bit.
+// These cases pin the exact results of three full default-4x4
+// phase_traffic phases (32-flit packets), recorded before the lane store
+// replaced the per-router FIFOs: cycles, the latency sum and variance, the
+// event counters, and every per-link and per-node count. The run loop must
+// reproduce them bit for bit.
 //
-// The bottleneck bound is an engine-independent sanity check: a phase can
+// The bottleneck bound is an independent sanity check: a phase can
 // never finish before its busiest injection port, ejection port or link has
 // moved all of its flits at one flit per cycle.
 #include <gtest/gtest.h>
@@ -87,32 +86,28 @@ std::vector<PacketDescriptor> golden_traffic(const NocConfig& cfg,
 }
 
 TEST(NocGoldenPhase, FullPhasesReproduceRecordedStats) {
-  for (const EngineMode engine : {EngineMode::Event, EngineMode::Dense}) {
-    for (const GoldenPhase& g : golden_phases()) {
-      SCOPED_TRACE(testing::Message()
-                   << g.scatter_flits << "/" << g.gather_flits << " engine "
-                   << (engine == EngineMode::Event ? "event" : "dense"));
-      NocConfig cfg;
-      cfg.engine = engine;
-      Network net(cfg);
-      net.add_packets(golden_traffic(cfg, g));
-      net.run_until_drained(10000000);
-      const NocStats& s = net.stats();
-      EXPECT_EQ(s.cycles.value(), g.cycles);
-      EXPECT_EQ(s.flits_ejected.value(), g.scatter_flits + g.gather_flits);
-      EXPECT_EQ(s.packet_latency.sum(), g.latency_sum);
-      EXPECT_EQ(s.packet_latency.variance(), g.latency_variance);
-      EXPECT_EQ(s.router_traversals, g.router_traversals);
-      EXPECT_EQ(s.link_traversals, g.link_traversals);
-      EXPECT_EQ(s.buffer_writes, g.buffer_writes);
-      EXPECT_EQ(s.buffer_reads, g.buffer_reads);
-      const auto links = net.link_flit_counts();
-      const auto ejects = net.node_eject_counts();
-      EXPECT_EQ(std::vector<std::uint64_t>(links.begin(), links.end()),
-                g.link_flits);
-      EXPECT_EQ(std::vector<std::uint64_t>(ejects.begin(), ejects.end()),
-                g.node_ejects);
-    }
+  for (const GoldenPhase& g : golden_phases()) {
+    SCOPED_TRACE(testing::Message() << g.scatter_flits << "/"
+                                    << g.gather_flits);
+    NocConfig cfg;
+    Network net(cfg);
+    net.add_packets(golden_traffic(cfg, g));
+    net.run_until_drained(10000000);
+    const NocStats& s = net.stats();
+    EXPECT_EQ(s.cycles.value(), g.cycles);
+    EXPECT_EQ(s.flits_ejected.value(), g.scatter_flits + g.gather_flits);
+    EXPECT_EQ(s.packet_latency.sum(), g.latency_sum);
+    EXPECT_EQ(s.packet_latency.variance(), g.latency_variance);
+    EXPECT_EQ(s.router_traversals, g.router_traversals);
+    EXPECT_EQ(s.link_traversals, g.link_traversals);
+    EXPECT_EQ(s.buffer_writes, g.buffer_writes);
+    EXPECT_EQ(s.buffer_reads, g.buffer_reads);
+    const auto links = net.link_flit_counts();
+    const auto ejects = net.node_eject_counts();
+    EXPECT_EQ(std::vector<std::uint64_t>(links.begin(), links.end()),
+              g.link_flits);
+    EXPECT_EQ(std::vector<std::uint64_t>(ejects.begin(), ejects.end()),
+              g.node_ejects);
   }
 }
 

@@ -13,6 +13,7 @@
 #include "noc/network.hpp"
 #include "noc/routing.hpp"
 #include "noc/traffic.hpp"
+#include "recorded_stats.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
@@ -175,28 +176,10 @@ TEST(Resilience, CountersStayZeroWithoutAdaptiveRouting) {
   net.check_invariants();
 }
 
-void expect_stats_equal(const NocStats& a, const NocStats& b,
-                        const char* context) {
-  EXPECT_EQ(a.cycles, b.cycles) << context;
-  EXPECT_EQ(a.flits_injected, b.flits_injected) << context;
-  EXPECT_EQ(a.flits_ejected, b.flits_ejected) << context;
-  EXPECT_EQ(a.flits_flushed, b.flits_flushed) << context;
-  EXPECT_EQ(a.link_traversals, b.link_traversals) << context;
-  EXPECT_EQ(a.route_rebuilds, b.route_rebuilds) << context;
-  EXPECT_EQ(a.links_quarantined, b.links_quarantined) << context;
-  EXPECT_EQ(a.routers_quarantined, b.routers_quarantined) << context;
-  EXPECT_EQ(a.packets_rerouted, b.packets_rerouted) << context;
-  EXPECT_EQ(a.packets_undeliverable, b.packets_undeliverable) << context;
-  EXPECT_EQ(a.recovery_cycles, b.recovery_cycles) << context;
-  EXPECT_EQ(a.packets_dropped, b.packets_dropped) << context;
-  EXPECT_EQ(a.packet_latency.mean(), b.packet_latency.mean()) << context;
-}
-
-NocStats run_escalation(EngineMode engine) {
+NocStats run_escalation() {
   NocConfig cfg = escalation_cfg();
   cfg.fault.permanent_link_outages = 1;
   cfg.fault.seed = 11;
-  cfg.engine = engine;
   Network net(cfg);
   net.add_packets(uniform_random_traffic(cfg, 300, 4, 99));
   net.run_until_drained(2000000);
@@ -207,23 +190,20 @@ NocStats run_escalation(EngineMode engine) {
 TEST(Resilience, EscalationDeterministicAcrossPoolSizes) {
   // Watchdog verdicts and retry suspicions are applied in one sorted,
   // deduplicated pass at cycle end — the global pool size must not be able
-  // to change which entities get quarantined or when.
+  // to change which entities get quarantined or when. Every pool size must
+  // reproduce the stats recorded from the per-cycle reference engine: one
+  // link quarantined, 132 flits flushed, 45 packets rerouted.
+  const RecordedStats ref = {
+      {172, 1282, 1150, 323, 285, 4206, 3056, 4338, 4206, 285, 0, 172, 0, 0,
+       0, 0, 285, 0, 0, 1, 1, 0, 132, 45, 15, 64},
+      {17575, 61.666666666666671, 1312.5610328638506, 5, 159}};
   const unsigned before = global_thread_count();
-  set_global_threads(1);
-  const NocStats ref = run_escalation(EngineMode::Event);
-  EXPECT_GE(ref.links_quarantined + ref.routers_quarantined, 1u);
-  for (const unsigned threads : {2u, 4u}) {
+  for (const unsigned threads : {1u, 2u, 4u}) {
     set_global_threads(threads);
-    const std::string context = "threads=" + std::to_string(threads);
-    expect_stats_equal(run_escalation(EngineMode::Event), ref,
-                       context.c_str());
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    expect_recorded(run_escalation(), ref);
   }
   set_global_threads(before);
-}
-
-TEST(Resilience, EscalationIdenticalAcrossEngines) {
-  expect_stats_equal(run_escalation(EngineMode::Dense),
-                     run_escalation(EngineMode::Event), "dense vs event");
 }
 
 TEST(Resilience, DrainTimeoutNamesFaultAndRoutingState) {

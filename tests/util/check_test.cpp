@@ -67,19 +67,5 @@ TEST(Check, OperandsEvaluatedExactlyOnce) {
   EXPECT_EQ(evals, 1);
 }
 
-#ifndef NDEBUG
-TEST(Check, DcheckActiveWithoutNdebug) {
-  EXPECT_THROW(NOCW_DCHECK(false), CheckError);
-  EXPECT_THROW(NOCW_DCHECK_EQ(1, 2), CheckError);
-}
-#else
-TEST(Check, DcheckCompiledOutUnderNdebug) {
-  int evals = 0;
-  NOCW_DCHECK(++evals != 0);  // unevaluated: must not run
-  NOCW_DCHECK_EQ(++evals, 99);
-  EXPECT_EQ(evals, 0);
-}
-#endif
-
 }  // namespace
 }  // namespace nocw

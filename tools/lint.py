@@ -172,8 +172,7 @@ RULES = (
     Rule("contracts.assert",
          re.compile(r"\bassert\s*\("),
          ALL, ("src/util/check.hpp",),
-         "naked assert(); use NOCW_CHECK* (always-on) or NOCW_DCHECK* (hot "
-         "paths) from util/check.hpp"),
+         "naked assert(); use NOCW_CHECK* from util/check.hpp"),
     # `Joules{x * 1e-12}`: a power-of-ten factor inside the constructor. A
     # plain literal magnitude (`Seconds{1e-6}`) is fine.
     Rule("contracts.scale-factor",
