@@ -44,9 +44,9 @@ std::vector<float> weights(std::size_t n, double stddev = 0.05) {
   return w;
 }
 
-// Both codec entry points share one segmentation + fit loop; δ = 0, 10 and
-// 20 cover its short-segment, typical and length-capped regimes. The 2^22
-// rows span more than one 2^17-weight chunk, so compress() splits them
+// Every codec entry point runs the one segment scan and line fit; δ = 0,
+// 10 and 20 cover its short-segment, typical and length-capped regimes. The
+// 2^22 rows span more than one 2^17-weight chunk, so compress() splits them
 // across the pool (its serial path below that).
 // Args: {weights, δ%}.
 void BM_Compress(benchmark::State& state) {
@@ -83,6 +83,27 @@ BENCHMARK(BM_CompressInto)
     ->Args({1 << 18, 0})
     ->Args({1 << 18, 10})
     ->Args({1 << 18, 20});
+
+// The serial streamed pass each δ point of the sweep runs: the
+// reconstruction goes to a no-op sink in blocks of 64 rows of 4096 weights.
+void BM_CompressStream(benchmark::State& state) {
+  const auto w = weights(static_cast<std::size_t>(state.range(0)));
+  core::CodecConfig cfg;
+  cfg.delta_percent = static_cast<double>(state.range(1));
+  const double range = value_range(w);
+  const core::BlockSink sink = [](std::span<const float> block) {
+    benchmark::DoNotOptimize(block.data());
+  };
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::compress_stream(w, cfg, range, nn::kPanelRows * 4096, sink));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CompressStream)
+    ->Args({1 << 22, 0})
+    ->Args({1 << 22, 8})
+    ->Args({1 << 22, 20});
 
 void BM_Decompress(benchmark::State& state) {
   const auto w = weights(static_cast<std::size_t>(state.range(0)));

@@ -1,12 +1,13 @@
 #include "core/codec.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 
-#include "core/linefit.hpp"
+#include "core/segment_scan.hpp"
 #include "util/bitio.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -70,9 +71,12 @@ std::uint8_t segment_crc8(std::uint64_t raw_m, std::uint64_t raw_q,
 
 }  // namespace
 
-float quantize_coefficient(double value, unsigned bits) noexcept {
+namespace {
+
+/// quantize_coefficient() for `bits` already in [9, 32].
+[[gnu::always_inline]] inline float round_coefficient(double value,
+                                                      unsigned bits) noexcept {
   const auto f = static_cast<float>(value);
-  bits = clamp_coef_bits(bits);
   if (bits == 32) return f;
   std::uint32_t raw;
   std::memcpy(&raw, &f, sizeof(raw));
@@ -86,67 +90,111 @@ float quantize_coefficient(double value, unsigned bits) noexcept {
   return out;
 }
 
-namespace {
+}  // namespace
 
-SegmenterConfig segmenter_config(double delta_abs, const CodecConfig& cfg) {
-  SegmenterConfig scfg;
-  scfg.delta = delta_abs;
-  scfg.max_length = max_segment_length(cfg.length_bits);
-  return scfg;
+float quantize_coefficient(double value, unsigned bits) noexcept {
+  return round_coefficient(value, clamp_coef_bits(bits));
 }
 
-/// The one Eq. 1 segmentation + line-fit loop behind compress() and
-/// compress_into(). A fresh segment opens at weights[begin], and
-/// `sink(segment, first)` is called as each segment closes, in order, where
-/// `first` indexes the segment's first weight; `cfg.coef_bits` must already
-/// be clamped. The loop stops early when the sink returns false, and
-/// otherwise at `end`: the trailing open segment is flushed only when `end`
-/// is the end of `weights`. Returns the first weight of the segment still
-/// open when it stopped (weights.size() once flushed), i.e. the last
-/// segment boundary it reached.
+namespace {
+
+/// Σx and the centered Σ(x-x̄)² of the ramp x = 0..len-1, computed
+/// exactly as LineFitAccumulator::fit computes them.
+struct RampSums {
+  double sx = 0.0;
+  double sxx_c = 0.0;
+};
+
+constexpr RampSums ramp_sums(std::size_t len) {
+  const auto n = static_cast<double>(len);
+  const double sx = n * (n - 1.0) / 2.0;
+  const double sxx = (n - 1.0) * n * (2.0 * n - 1.0) / 6.0;
+  return {sx, sxx - sx * sx / n};
+}
+
+// Ramp sums for every length the default 8-bit length field allows. A
+// constant-initialized table: no guard, no run-time initializer.
+constexpr std::size_t kRampTableSize = 257;
+constexpr auto kRampTable = [] {
+  std::array<RampSums, kRampTableSize> table{};
+  for (std::size_t len = 1; len < kRampTableSize; ++len) {
+    table[len] = ramp_sums(len);
+  }
+  return table;
+}();
+
+/// Least-squares line of the segment y[0..len) and its quantized triple:
+/// m and q bit for bit as LineFitAccumulator::fit, with the same sums in
+/// the same element order (Σy², which only its residual reads, is skipped).
+[[gnu::always_inline]] inline CompressedSegment fit_segment(
+    const float* y, std::size_t len, unsigned coef_bits) {
+  double sy = 0.0;
+  double sxy = 0.0;
+  double x = 0.0;  // j, exactly
+  for (std::size_t j = 0; j < len; ++j) {
+    const auto v = static_cast<double>(y[j]);
+    sy += v;
+    sxy += x * v;
+    x += 1.0;
+  }
+  double m = 0.0;
+  double q = sy;
+  if (len > 1) {
+    const RampSums r = len < kRampTableSize ? kRampTable[len] : ramp_sums(len);
+    const auto n = static_cast<double>(len);
+    const double sxy_c = sxy - r.sx * sy / n;
+    m = sxy_c / r.sxx_c;
+    q = (sy - m * r.sx) / n;
+  }
+  CompressedSegment s;
+  s.m = round_coefficient(m, coef_bits);
+  s.q = round_coefficient(q, coef_bits);
+  s.length = static_cast<std::uint32_t>(len);
+  return s;
+}
+
+/// The Eq. 1 segmentation + line-fit loop behind compress() and its chunk
+/// lanes. A fresh segment opens at weights[begin], and `sink(segment, first)`
+/// is called for each segment in order, where `first` indexes the segment's
+/// first weight; `cfg.coef_bits` must already be clamped. The loop stops
+/// early when the sink returns false, and otherwise at `end`: a segment that
+/// reaches `end` is emitted only when `end` is the end of `weights`. Returns the first weight of the segment it did not emit
+/// (weights.size() once all are), i.e. the last segment boundary it
+/// reached.
 template <class Sink>
 std::size_t fit_segments(std::span<const float> weights, std::size_t begin,
                          std::size_t end, double delta_abs,
                          const CodecConfig& cfg, Sink&& sink) {
-  StreamSegmenter seg(segmenter_config(delta_abs, cfg));
-  LineFitAccumulator acc;
+  SegmentScan scan(weights, delta_abs, max_segment_length(cfg.length_bits));
+  const bool flush = end == weights.size();
   std::size_t first = begin;
-  auto emit = [&]() {
-    const LineFit fit = acc.fit();
-    CompressedSegment s;
-    s.m = quantize_coefficient(fit.m, cfg.coef_bits);
-    s.q = quantize_coefficient(fit.q, cfg.coef_bits);
-    s.length = static_cast<std::uint32_t>(acc.count());
-    const bool more = sink(s, first);
-    first += s.length;
-    acc.reset();
-    return more;
-  };
-  for (std::size_t i = begin; i < end; ++i) {
-    const float w = weights[i];
-    if (seg.push(w) != 0 && !emit()) return first;
-    acc.add(static_cast<double>(w));
+  while (first < end) {
+    const std::size_t last = scan.end_of(first, end);
+    if (last == end && !flush) break;
+    const bool more = sink(
+        fit_segment(weights.data() + first, last - first, cfg.coef_bits),
+        first);
+    first = last;
+    if (!more) break;
   }
-  if (end == weights.size() && seg.finish() != 0) emit();
   return first;
 }
 
 /// Replay Eq. (2) for one segment in float — exactly what the hardware
 /// decompressor produces, including accumulation drift — against its source
-/// weights `src`, adding each squared error to `sse` in element order. With
-/// kStore the reconstruction also lands in `out`.
+/// weights `src`, adding each squared error to `sse` in element order, and
+/// return the new sum. With kStore the reconstruction also lands in `out`.
 template <bool kStore>
-void replay_segment(const CompressedSegment& s, const float* src, double& sse,
-                    float* out) {
+[[gnu::always_inline]] inline double replay_segment(
+    const CompressedSegment& s, const float* src, double sse, float* out) {
   float w = s.q;
-  double acc = sse;
   for (std::uint32_t j = 0; j < s.length; ++j) {
     if constexpr (kStore) out[j] = w;
     const double err = static_cast<double>(src[j]) - static_cast<double>(w);
-    acc += err * err;
+    sse += err * err;
     w += s.m;
   }
-  sse = acc;
+  return sse;
 }
 
 CompressionStats begin_stats(std::span<const float> weights,
@@ -168,33 +216,30 @@ constexpr std::size_t kCompressChunk = std::size_t{1} << 17;
 constexpr std::size_t kCompressWindow = 12;
 
 /// The segmentation a lane of the chunked compress() runs from the chunk
-/// start at or before each index: a fresh StreamSegmenter, restarted at
-/// every multiple of kCompressChunk from `from` (itself one) on.
+/// start at or before each index: a fresh segmentation, restarted at every
+/// multiple of kCompressChunk from `from` (itself one) on.
 class ChunkProbe {
  public:
   ChunkProbe(std::span<const float> weights, std::size_t from,
-             const SegmenterConfig& scfg) noexcept
-      : weights_(weights), seg_(scfg), next_(from), boundary_(from) {}
+             double delta_abs, std::size_t max_length) noexcept
+      : scan_(weights, delta_abs, max_length),
+        size_(weights.size()),
+        boundary_(from) {}
 
   /// True when the lane of the chunk holding `e` opens a segment at `e`.
-  /// Successive calls must pass nondecreasing e >= from.
+  /// Successive calls must pass nondecreasing e >= from, e < weights.size().
   bool opens_at(std::size_t e) noexcept {
-    for (; next_ <= e; ++next_) {
-      if (next_ % kCompressChunk == 0) {
-        seg_.finish();
-        seg_.push(weights_[next_]);
-        boundary_ = next_;
-      } else if (seg_.push(weights_[next_]) != 0) {
-        boundary_ = next_;
-      }
+    while (boundary_ < e) {
+      const std::size_t chunk_end =
+          (boundary_ / kCompressChunk + 1) * kCompressChunk;
+      boundary_ = scan_.end_of(boundary_, std::min(chunk_end, size_));
     }
     return boundary_ == e;
   }
 
  private:
-  std::span<const float> weights_;
-  StreamSegmenter seg_;
-  std::size_t next_;
+  SegmentScan scan_;
+  std::size_t size_;
   std::size_t boundary_;
 };
 
@@ -206,15 +251,16 @@ struct LaneStop {
 /// Segment and fit from `begin` — a chunk start, or a boundary of the serial
 /// segmentation — appending to `out`. Past the next chunk start the lane
 /// watches that chunk's own lane (a ChunkProbe) and stops at the first
-/// boundary both open, where the two segmentations agree from then on: a
-/// StreamSegmenter's state after a boundary is (prev = that weight,
-/// count = 1, both directions open), whatever came before. Stops unmet at
-/// `limit` when no shared boundary came first.
+/// boundary both open, where the two segmentations agree from then on: the
+/// end of a segment depends only on the weights from its first one on,
+/// whatever came before. Stops unmet at `limit` when no shared boundary came
+/// first.
 LaneStop run_lane(std::span<const float> weights, std::size_t begin,
                   std::size_t limit, double delta_abs, const CodecConfig& cfg,
                   std::vector<CompressedSegment>& out) {
   const std::size_t watch_from = (begin / kCompressChunk + 1) * kCompressChunk;
-  ChunkProbe probe(weights, watch_from, segmenter_config(delta_abs, cfg));
+  ChunkProbe probe(weights, watch_from, delta_abs,
+                   max_segment_length(cfg.length_bits));
   LaneStop stop;
   stop.at = fit_segments(
       weights, begin, limit, delta_abs, cfg,
@@ -301,8 +347,8 @@ class ChunkedCompress {
   /// Append window `w`'s lanes from the serial boundary pos_ on, then replay
   /// the new segments. A lane whose chunk an earlier lane's overrun (or a
   /// fallback) already covered is skipped; an unmet lane ends in a serial
-  /// fallback from its last boundary, which a fresh segmenter continues
-  /// exactly, until it meets a later chunk's lane.
+  /// fallback from its last boundary, which a segmentation started there
+  /// continues exactly, until it meets a later chunk's lane.
   void stitch(std::size_t w, const Lane* lanes) {
     for (std::size_t t = 0; t < kCompressWindow; ++t) {
       const std::size_t k = w * kCompressWindow + t;
@@ -322,7 +368,8 @@ class ChunkedCompress {
     }
     for (; replayed_ < layer_.segments.size(); ++replayed_) {
       const CompressedSegment& s = layer_.segments[replayed_];
-      replay_segment<false>(s, weights_.data() + replay_pos_, sse_, nullptr);
+      sse_ = replay_segment<false>(s, weights_.data() + replay_pos_, sse_,
+                                   nullptr);
       replay_pos_ += s.length;
     }
   }
@@ -363,7 +410,7 @@ CompressedLayer compress(std::span<const float> weights,
   double sse = 0.0;
   std::size_t first = 0;
   for (const CompressedSegment& s : layer.segments) {
-    replay_segment<false>(s, weights.data() + first, sse, nullptr);
+    sse = replay_segment<false>(s, weights.data() + first, sse, nullptr);
     first += s.length;
   }
   layer.sse = sse;
@@ -373,38 +420,46 @@ CompressedLayer compress(std::span<const float> weights,
 namespace {
 
 /// The one streaming pass behind compress_into() and compress_stream(): each
-/// segment is replayed into `stage` the moment it closes, right after the
+/// segment is replayed into `stage` the moment it is fitted, right after the
 /// weights already there, and `sink` receives every full `block` of `stage`
 /// in order, then the shorter rest at the end. Unsent weights move to the
-/// front of `stage` after each segment, so it needs min(n, block + the
+/// front of `stage` once a block has gone, so it needs min(n, block + the
 /// longest segment) floats; with block = n it is the whole output and
-/// nothing moves.
+/// nothing moves. The segment + fit loop is fit_segments()' own, spelled
+/// out so that the running SSE is a plain local. Out of line: inlined into
+/// compress_stream(), GCC 12 kept that SSE in a stack slot through the loop,
+/// a store and a reload per weight, and the pass ran 25-40% slower.
 template <class Sink>
-CompressionStats stream_blocks(std::span<const float> weights,
-                               const CodecConfig& cfg, double range,
-                               std::size_t block, std::span<float> stage,
-                               Sink&& sink) {
+[[gnu::noinline]] CompressionStats stream_blocks(
+    std::span<const float> weights, const CodecConfig& cfg, double range,
+    std::size_t block, std::span<float> stage, Sink&& sink) {
   CompressionStats st = begin_stats(weights, cfg, range);
+  const std::size_t n = weights.size();
+  const unsigned coef_bits = st.config.coef_bits;
+  SegmentScan scan(weights, st.delta_abs, max_segment_length(cfg.length_bits));
   double sse = 0.0;
+  std::size_t segments = 0;
   std::size_t fill = 0;
-  fit_segments(weights, 0, weights.size(), st.delta_abs, st.config,
-               [&](const CompressedSegment& s, std::size_t first) {
-                 ++st.segment_count;
-                 replay_segment<true>(s, weights.data() + first, sse,
-                                      stage.data() + fill);
-                 fill += s.length;
-                 std::size_t sent = 0;
-                 for (; fill - sent >= block; sent += block) {
-                   sink(stage.subspan(sent, block));
-                 }
-                 if (sent > 0) {
-                   std::memmove(stage.data(), stage.data() + sent,
-                                (fill - sent) * sizeof(float));
-                   fill -= sent;
-                 }
-                 return true;
-               });
+  for (std::size_t first = 0; first < n;) {
+    const std::size_t last = scan.end_of(first, n);
+    const float* src = weights.data() + first;
+    const CompressedSegment s = fit_segment(src, last - first, coef_bits);
+    sse = replay_segment<true>(s, src, sse, stage.data() + fill);
+    ++segments;
+    fill += s.length;
+    first = last;
+    if (fill >= block) [[unlikely]] {
+      std::size_t sent = 0;
+      for (; fill - sent >= block; sent += block) {
+        sink(stage.subspan(sent, block));
+      }
+      std::memmove(stage.data(), stage.data() + sent,
+                   (fill - sent) * sizeof(float));
+      fill -= sent;
+    }
+  }
   if (fill > 0) sink(stage.first(fill));
+  st.segment_count = segments;
   st.sse = sse;
   return st;
 }

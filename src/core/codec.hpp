@@ -1,8 +1,9 @@
 // Lossy weights codec (paper Sec. III-B, III-C).
 //
 // Compression pipeline: greedy weak-monotonic segmentation with tolerance δ
-// (segment.hpp) → per-segment least-squares line fit (linefit.hpp) → each
-// segment stored as the triple ⟨m_i, q_i, |M_i|⟩. Decompression reconstructs
+// (segment.hpp; segment ends found from kill bitmasks, segment_scan.hpp) →
+// per-segment least-squares line fit (linefit.hpp) → each segment stored as
+// the triple ⟨m_i, q_i, |M_i|⟩. Decompression reconstructs
 // w̃_1 = q_i, w̃_j = w̃_{j-1} + m_i (Eq. 2) — accumulation only, no multiply —
 // exactly what the per-PE hardware decompression unit of Fig. 6 computes.
 //
@@ -12,12 +13,14 @@
 // ≤ 256 weights are still in L1, and is then dropped. compress_stream() goes
 // one step further and never holds the whole reconstruction: it hands it to
 // a sink in fixed-size blocks, which is how the δ-sweep feeds a layer's
-// GEMM panel by panel (DESIGN.md §18). All three run the same segmentation
-// + fit loop and agree bit for bit (sizes, SSE and weights).
+// GEMM panel by panel (DESIGN.md §18). All three run the one segmentation
+// scan and line fit and agree bit for bit (sizes, SSE and weights).
 // compress() of a layer longer than one chunk, called outside a parallel
-// region, runs that loop on every lane of the global pool, one chunk per
-// lane, and stitches the chunks into the serial segmentation (DESIGN.md
-// §18); its output is the same bit for bit at any thread count.
+// region, runs them on every lane of the global pool, one chunk per lane,
+// and stitches the chunks into the serial segmentation: a segment's end
+// depends only on the kill bits after its start, so a lane agrees with the
+// serial pass from their first shared boundary on (DESIGN.md §18). Its
+// output is the same bit for bit at any thread count.
 //
 // Field widths are configurable so the storage-cost model can be explored
 // (an ablation the paper leaves implicit): coefficients may be rounded to a

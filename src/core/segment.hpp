@@ -40,46 +40,19 @@ double delta_from_percent(double percent, std::span<const float> weights);
 double delta_from_percent(double percent, double range) noexcept;
 
 /// Greedy maximal segmentation. Every element of `weights` belongs to exactly
-/// one segment; segments are returned in order and tile [0, n).
+/// one segment; segments are returned in order and tile [0, n). It runs the
+/// same scan (segment_scan.hpp) as every compress entry point.
+///
+/// Restart property: where a segment ends depends only on the weights from
+/// its first one on, whatever came before it. So a segmentation started at
+/// any index produces the same segments as one that ran from the start,
+/// from their first shared boundary on. core::compress() relies on this to
+/// segment chunks of a layer on separate lanes and stitch them bit for bit.
 std::vector<Segment> segment_weights(std::span<const float> weights,
                                      const SegmenterConfig& config);
 
 /// True when `values` is weakly monotonic (either direction) with tolerance
 /// delta, per Eq. (1). Used by tests and assertions.
 bool is_weakly_monotonic(std::span<const float> values, double delta);
-
-/// Streaming segmenter: consumes one value at a time and emits segment
-/// lengths, never holding more than O(1) state. Used when compressing layers
-/// too large to keep two copies of in memory and by the hardware-style tests.
-///
-/// Restart property: right after a segment boundary the whole state is
-/// (prev = the weight that opened the segment, count = 1, both directions
-/// open), whatever came before it. So a fresh segmenter started at any index
-/// produces the same segments as one that ran from the start, from their
-/// first shared boundary on. core::compress() relies on this to segment
-/// chunks of a layer on separate lanes and stitch them bit for bit.
-class StreamSegmenter {
- public:
-  explicit StreamSegmenter(const SegmenterConfig& config) noexcept
-      : cfg_(config) {}
-
-  /// Feed the next weight. Returns the length of a segment that was just
-  /// closed (i.e. `value` starts a new one), or 0 when the current segment
-  /// simply grew.
-  std::size_t push(float value) noexcept;
-
-  /// Flush the trailing open segment; returns its length (0 if none).
-  std::size_t finish() noexcept;
-
-  /// Length of the currently open segment.
-  [[nodiscard]] std::size_t open_length() const noexcept { return count_; }
-
- private:
-  SegmenterConfig cfg_;
-  double prev_ = 0.0;
-  std::size_t count_ = 0;  // elements in the open segment
-  bool can_increase_ = true;
-  bool can_decrease_ = true;
-};
 
 }  // namespace nocw::core

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <vector>
 
+#include "stream_segmenter.hpp"
 #include "util/rng.hpp"
 
 namespace nocw::core {
