@@ -18,11 +18,13 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "init_reference.hpp"
 
 #include "core/codec.hpp"
 #include "core/decompressor_unit.hpp"
 #include "nn/gemm.hpp"
 #include "nn/gemm_detail.hpp"
+#include "nn/init_detail.hpp"
 #include "nn/layers.hpp"
 #include "nn/models.hpp"
 #include "nn/tensor.hpp"
@@ -218,6 +220,49 @@ BENCHMARK(BM_GemmParallel)
     ->Args({512, 1})
     ->Args({512, 2})
     ->Args({512, 4});
+
+// The Laplacian weight fill on one thread, 2^22 weights: arg 0 is the
+// scalar std::log loop every width must reproduce
+// (tests/nn/init_reference.hpp), args 16/32/64 the vector transform at that
+// width, skipped where the CPU lacks it. Items are weights.
+void BM_InitLaplacian(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  const nn::detail::LaplacianKernel* kernel = nullptr;
+  for (const auto& k : nn::detail::laplacian_kernels()) {
+    if (k.vector_bytes == bytes) kernel = &k;
+  }
+  if (bytes != 0 && (kernel == nullptr || !kernel->supported)) {
+    state.SkipWithError("this host does not run the width");
+    return;
+  }
+  const unsigned threads = global_thread_count();
+  set_global_threads(1);
+  std::vector<float> w(std::size_t{1} << 22);
+  Xoshiro256pp rng(1);
+  for (auto _ : state) {
+    if (kernel == nullptr) {
+      nn::reference_fill_laplacian(w, 0.0023, rng);
+    } else {
+      nn::detail::fill_laplacian(w, 0.0023, rng, *kernel);
+    }
+    benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(w.size()));
+  state.SetLabel(kernel == nullptr
+                     ? std::string("scalar")
+                     : std::string(kernel->isa) + "/" +
+                           std::to_string(bytes) + "B");
+  set_global_threads(threads);
+}
+BENCHMARK(BM_InitLaplacian)
+    ->ArgName("bytes")
+    ->Arg(0)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Unit(benchmark::kMillisecond);
 
 // Building a zoo model: graph construction plus synthetic weight generation
 // on the pool (nn::init_graph). Wall time, since generation runs on every

@@ -6,21 +6,13 @@
 #include "nn/gemm_detail.hpp"
 #include "util/thread_pool.hpp"
 
-#if defined(__x86_64__)
-#include <cpuid.h>
-#endif
-
 namespace nocw::nn {
 
 namespace {
 
-/// W bytes of floats: 16 is one SSE register on x86-64 and one NEON
-/// register on AArch64, 32 one AVX register, 64 one AVX-512 register.
-/// The attribute sits on the alias itself: GCC drops a dependent
-/// vector_size written after `= float` and leaves a plain float.
+/// W bytes of floats (nn/simd.hpp).
 template <std::size_t W>
-using V [[gnu::vector_size(W)]] = float;
-static_assert(sizeof(V<16>) == 16 && sizeof(V<64>) == 64);
+using V = detail::Vec<float, W>;
 
 constexpr std::size_t kMr = 6;    // rows of the register tile
 constexpr std::size_t kKc = 256;  // K panel
@@ -208,43 +200,9 @@ void gemm_with(const float* a, const float* b, float* c, std::size_t m,
       });
 }
 
-#if defined(__x86_64__)
-/// Whether this CPU has AVX2 (bytes = 32) or AVX-512F (bytes = 64) and the
-/// OS saves the registers it uses (XCR0: SSE and AVX state, plus the three
-/// AVX-512 states for 64). Read with CPUID and XGETBV, which add no code
-/// outside this function; __builtin_cpu_supports would link libgcc's CPU
-/// model constructor, 4.5 KB of start-up code the linker places ahead of
-/// every function of every program.
-bool cpu_runs(std::size_t bytes) {
-  unsigned eax = 0;
-  unsigned ebx = 0;
-  unsigned ecx = 0;
-  unsigned edx = 0;
-  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0 ||
-      (ecx & bit_OSXSAVE) == 0) {
-    return false;
-  }
-  unsigned xcr0 = 0;
-  unsigned xcr0_high = 0;
-  __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_high) : "c"(0));
-  const unsigned state = bytes == 64 ? 0xE6U : 0x06U;
-  if ((xcr0 & state) != state ||
-      __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) {
-    return false;
-  }
-  return (ebx & (bytes == 64 ? bit_AVX512F : bit_AVX2)) != 0;
-}
-#endif
-
-/// The widest kernel the host supports, chosen once.
+/// The widest kernel the host supports.
 const detail::GemmKernel& selected() {
-  static const detail::GemmKernel* const widest = [] {
-    const auto kernels = detail::gemm_kernels();
-    return &*std::find_if(
-        kernels.rbegin(), kernels.rend(),
-        [](const detail::GemmKernel& g) { return g.supported; });
-  }();
-  return *widest;
+  return detail::gemm_kernels()[detail::widest_width()];
 }
 
 }  // namespace
@@ -253,16 +211,10 @@ namespace detail {
 
 std::span<const GemmKernel> gemm_kernels() {
 #if defined(__x86_64__)
-  static const GemmKernel kernels[] = {
-      {16, "sse2", &gemm_with<&block16>, true},
-      {32, "avx2", &gemm_with<&block32>, cpu_runs(32)},
-      {64, "avx512f", &gemm_with<&block64>, cpu_runs(64)}};
-#elif defined(__aarch64__)
-  static const GemmKernel kernels[] = {
-      {16, "neon", &gemm_with<&block16>, true}};
+  static const auto kernels = at_widths<GemmFn>(
+      {&gemm_with<&block16>, &gemm_with<&block32>, &gemm_with<&block64>});
 #else
-  static const GemmKernel kernels[] = {
-      {16, "generic", &gemm_with<&block16>, true}};
+  static const auto kernels = at_widths<GemmFn>({&gemm_with<&block16>});
 #endif
   return kernels;
 }

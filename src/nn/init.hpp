@@ -41,9 +41,14 @@ enum class InitDistribution {
 /// is left where that serial walk would leave it. A Laplacian kernel takes
 /// exactly one draw per weight, so it is filled in parallel on global_pool():
 /// fixed 2^16-weight chunks, each started by xoshiro jump-ahead
-/// (Xoshiro256pp::Jump). BatchNorm and Gaussian layers (normal() keeps a
-/// cached deviate) stay serial. The weights are therefore bit-identical at
-/// any thread count (DESIGN.md §17).
+/// (Xoshiro256pp::Jump). Within a chunk, blocks of 256 draws are taken
+/// serially and turned into weights by a vectorized log at the widest
+/// vector width the CPU runs; a rounding guard hands any block whose floats
+/// could depend on the log's last bits to the scalar std::log expression,
+/// so every weight is the serial std::log loop's. BatchNorm and Gaussian
+/// layers (normal() keeps a cached deviate) stay serial. The weights are
+/// therefore bit-identical at any thread count and vector width
+/// (DESIGN.md §17).
 void init_layer(Layer& layer, Xoshiro256pp& rng,
                 InitScheme scheme = InitScheme::GlorotNormal,
                 InitDistribution dist = InitDistribution::Laplacian);

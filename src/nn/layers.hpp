@@ -24,8 +24,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -178,6 +180,34 @@ class InputLayer final : public Layer {
   std::vector<int> shape_;  ///< expected shape with batch dim 0 = wildcard
 };
 
+/// Kernel storage: calloc'd, so a large kernel arrives as untouched zero
+/// pages, and value-initializing an element writes nothing. Its pages are
+/// first touched where the weights are generated, on the pool's lanes.
+/// Growing a vector within capacity it once shrank from would not re-zero.
+template <class T>
+struct ZeroedAllocator {
+  using value_type = T;
+  ZeroedAllocator() = default;
+  template <class U>
+  explicit ZeroedAllocator(const ZeroedAllocator<U>& /*other*/) noexcept {}
+  [[nodiscard]] T* allocate(std::size_t n) {
+    void* p = std::calloc(n, sizeof(T));
+    if (p == nullptr) throw std::bad_alloc();
+    return static_cast<T*>(p);
+  }
+  void deallocate(T* p, std::size_t /*n*/) noexcept { std::free(p); }
+  template <class U>
+  void construct(U* /*p*/) noexcept {}
+  template <class U>
+  void construct(U* p, const U& value) noexcept {
+    ::new (static_cast<void*>(p)) U(value);
+  }
+  friend bool operator==(const ZeroedAllocator&, const ZeroedAllocator&) {
+    return true;
+  }
+};
+using KernelStore = std::vector<float, ZeroedAllocator<float>>;
+
 class Conv2D final : public Layer {
  public:
   /// Kernel layout: [kh][kw][cin][cout] (HWIO), contiguous. `use_bias`
@@ -226,7 +256,7 @@ class Conv2D final : public Layer {
 
   int cin_, cout_, kh_, kw_, stride_;
   Padding padding_;
-  std::vector<float> kernel_;
+  KernelStore kernel_;
   std::vector<float> bias_;
   std::vector<float> kernel_grad_;
   std::vector<float> bias_grad_;
@@ -264,7 +294,7 @@ class DepthwiseConv2D final : public Layer {
  private:
   int channels_, kh_, kw_, stride_;
   Padding padding_;
-  std::vector<float> kernel_;
+  KernelStore kernel_;
   std::vector<float> bias_;
 };
 
@@ -303,7 +333,7 @@ class Dense final : public Layer {
 
  private:
   int in_, out_;
-  std::vector<float> kernel_;
+  KernelStore kernel_;
   std::vector<float> bias_;
   std::vector<float> kernel_grad_;
   std::vector<float> bias_grad_;

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "nn/gemm_detail.hpp"
+#include "nn/simd.hpp"
 
 namespace nocw::nn {
 
@@ -50,15 +50,17 @@ inline ::testing::AssertionResult bitwise_equal(std::span<const float> got,
   return ::testing::AssertionSuccess();
 }
 
-/// The gemm kernels this host runs. Each of the 16-, 32- and 64-byte widths
-/// it cannot run (not built for this architecture, or not supported by the
-/// CPU) is named in `skipped`.
-inline std::vector<detail::GemmKernel> runnable_gemm_kernels(
-    std::string& skipped) {
-  std::vector<detail::GemmKernel> out;
+/// The kernels of one per-width function (gemm_kernels(),
+/// laplacian_kernels()) this host runs. Each of the 16-, 32- and 64-byte
+/// widths it cannot run (not built for this architecture, or not supported
+/// by the CPU) is named in `skipped`.
+template <class Fn>
+std::vector<detail::WidthKernel<Fn>> runnable_kernels(
+    std::span<const detail::WidthKernel<Fn>> kernels, std::string& skipped) {
+  std::vector<detail::WidthKernel<Fn>> out;
   for (const std::size_t bytes : {16, 32, 64}) {
-    const detail::GemmKernel* kernel = nullptr;
-    for (const auto& g : detail::gemm_kernels()) {
+    const detail::WidthKernel<Fn>* kernel = nullptr;
+    for (const auto& g : kernels) {
       if (g.vector_bytes == bytes) kernel = &g;
     }
     if (kernel != nullptr && kernel->supported) {

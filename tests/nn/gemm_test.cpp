@@ -100,7 +100,7 @@ TEST(Gemm, EveryVectorWidthMatchesNaive) {
   // block, m on and around the 6-row tile (m <= 6 reads B in place) and
   // past a 96-row block, k across the 256-deep panel.
   std::string skipped;
-  const auto kernels = runnable_gemm_kernels(skipped);
+  const auto kernels = runnable_kernels(detail::gemm_kernels(), skipped);
   Xoshiro256pp rng(204);
   for (const std::size_t n : {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 129}) {
     for (const std::size_t m : {1, 5, 6, 7, 97}) {

@@ -6,12 +6,27 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "nn/graph.hpp"
 #include "nn/init.hpp"
 #include "util/rng.hpp"
 
 namespace nocw::nn {
+
+/// The weight of the Laplacian draw u = uniform() - 0.5 at scale b.
+inline float reference_laplacian_weight(double u, double b_scale) {
+  const double mag = -b_scale * std::log(1.0 - 2.0 * std::abs(u));
+  return static_cast<float>(u < 0 ? -mag : mag);
+}
+
+/// One draw per weight, in order.
+inline void reference_fill_laplacian(std::span<float> kernel, double b_scale,
+                                     Xoshiro256pp& rng) {
+  for (auto& w : kernel) {
+    w = reference_laplacian_weight(rng.uniform() - 0.5, b_scale);
+  }
+}
 
 inline void reference_init_layer(Layer& layer, Xoshiro256pp& rng,
                                  InitScheme scheme, InitDistribution dist) {
@@ -50,12 +65,7 @@ inline void reference_init_layer(Layer& layer, Xoshiro256pp& rng,
       w = static_cast<float>(rng.normal(0.0, stddev));
     }
   } else {
-    const double b_scale = stddev / std::sqrt(2.0);
-    for (auto& w : layer.kernel()) {
-      const double u = rng.uniform() - 0.5;
-      const double mag = -b_scale * std::log(1.0 - 2.0 * std::abs(u));
-      w = static_cast<float>(u < 0 ? -mag : mag);
-    }
+    reference_fill_laplacian(layer.kernel(), stddev / std::sqrt(2.0), rng);
   }
   for (auto& b : layer.bias()) b = 0.0F;
 }

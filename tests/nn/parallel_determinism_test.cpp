@@ -3,9 +3,11 @@
 // match exactly (EXPECT_EQ on floats, not EXPECT_NEAR) at 2 and 8 threads.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,7 +15,9 @@
 #include "gemm_reference.hpp"
 #include "init_reference.hpp"
 #include "nn/gemm.hpp"
+#include "nn/gemm_detail.hpp"
 #include "nn/init.hpp"
+#include "nn/init_detail.hpp"
 #include "nn/models.hpp"
 #include "nn/tensor.hpp"
 #include "util/rng.hpp"
@@ -107,7 +111,7 @@ TEST_F(ParallelDeterminism, GemmEveryWidthMatchesSerial) {
   // every thread count: several 96 x 128 blocks with column edges at each
   // tile width, the m <= 6 Dense case, and an accumulating product.
   std::string skipped;
-  const auto kernels = runnable_gemm_kernels(skipped);
+  const auto kernels = runnable_kernels(detail::gemm_kernels(), skipped);
   const std::size_t shapes[][3] = {{150, 300, 270}, {6, 300, 601}};
   for (const auto& s : shapes) {
     const std::size_t m = s[0], k = s[1], n = s[2];
@@ -250,6 +254,96 @@ TEST_F(ParallelDeterminism, InitGraphMatchesSerialStream) {
           << c.name << " threads " << threads;
     }
   }
+}
+
+TEST_F(ParallelDeterminism, InitEveryWidthMatchesSerial) {
+  // Every vector width the host runs fills a Laplacian kernel with the
+  // serial loop's bits and leaves the generator where that loop leaves it,
+  // at every thread count: 2^22 draws at three scales, and kernels of 0, 1,
+  // 255, 257 and 2^16 +- 1 weights (short last blocks and chunks). On those
+  // draws the rounding guard must have sent some blocks to the scalar path.
+  std::string skipped;
+  const auto kernels =
+      runnable_kernels(detail::laplacian_kernels(), skipped);
+  struct Case {
+    std::size_t n;
+    double b;
+  };
+  std::vector<Case> cases;
+  for (const double b : {1e-5, 0.0023, 0.37}) cases.push_back({1U << 22, b});
+  for (const std::size_t n : {0, 1, 255, 257, 65535, 65537}) {
+    cases.push_back({n, 0.0023});
+  }
+  std::size_t fallbacks = 0;
+  for (const Case& c : cases) {
+    Xoshiro256pp ref_rng(31);
+    std::vector<float> want(c.n);
+    reference_fill_laplacian(want, c.b, ref_rng);
+    for (const auto& kernel : kernels) {
+      for (unsigned threads : {1U, 2U, 8U}) {
+        set_global_threads(threads);
+        Xoshiro256pp rng(31);
+        std::vector<float> got(c.n, 1.0F);
+        fallbacks += detail::fill_laplacian(got, c.b, rng, kernel);
+        ASSERT_TRUE(bitwise_equal(got, want))
+            << kernel.isa << "/" << kernel.vector_bytes << "B n " << c.n
+            << " b " << c.b << " threads " << threads;
+        ASSERT_TRUE(same_generator(rng, ref_rng))
+            << kernel.isa << "/" << kernel.vector_bytes << "B n " << c.n
+            << " threads " << threads;
+      }
+    }
+  }
+  EXPECT_GT(fallbacks, 0U) << "the rounding guard never fired";
+
+  // The edge draws, straight through each transform, in a full block and
+  // in a short one: u = 0 (weight -0) and |u| = 2^-53 (t = 1 - 2^-52, the
+  // smallest nonzero log) stay on the vector path. Two draws send their
+  // block to the scalar path: u = -0.5 (log 0, weight -inf), and a u whose
+  // weight lies within 2^-40 of the midpoint of two floats, where a log a
+  // few ulp off could round the other way.
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double b = 0.37;
+  const double midpoint = (static_cast<double>(0.3F) +
+                           static_cast<double>(std::nextafter(0.3F, 1.0F))) /
+                          2;
+  enum class Extra { kNone, kLogZero, kMidpoint };
+  for (const auto& kernel : kernels) {
+    for (const std::size_t n : {256, 100}) {
+      for (const Extra extra : {Extra::kNone, Extra::kLogZero,
+                                Extra::kMidpoint}) {
+        Xoshiro256pp rng(5);
+        std::vector<double> u(n);
+        for (auto& x : u) x = rng.uniform() - 0.5;
+        u[3] = 0.0;
+        u[50] = 0x1p-53;
+        u[51] = -0x1p-53;
+        if (extra == Extra::kLogZero) u[70] = -0.5;
+        if (extra == Extra::kMidpoint) {
+          u[70] = 0.5 * (1.0 - std::exp(-midpoint / b));
+        }
+        std::vector<float> want(n);
+        for (std::size_t j = 0; j < n; ++j) {
+          want[j] = reference_laplacian_weight(u[j], b);
+        }
+        std::vector<float> got(n, 1.0F);
+        const std::size_t fell = kernel.run(u.data(), n, b, got.data());
+        const std::string where =
+            std::string(kernel.isa) + "/" +
+            std::to_string(kernel.vector_bytes) + "B n " +
+            std::to_string(n) + " extra draw " +
+            std::to_string(static_cast<int>(extra));
+        EXPECT_EQ(fell, extra == Extra::kNone ? 0U : 1U) << where;
+        ASSERT_TRUE(bitwise_equal(got, want)) << where;
+        EXPECT_TRUE(got[3] == 0.0F && std::signbit(got[3])) << where;
+        EXPECT_GT(got[50], 0.0F) << where;
+        if (extra == Extra::kLogZero) {
+          EXPECT_EQ(got[70], -kInf) << where;
+        }
+      }
+    }
+  }
+  if (!skipped.empty()) GTEST_SKIP() << "not run: " << skipped;
 }
 
 TEST_F(ParallelDeterminism, GraphForwardBitIdenticalAcrossThreadCounts) {
