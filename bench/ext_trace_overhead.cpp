@@ -152,8 +152,11 @@ int main(int, char** argv) {
   }
   const double gate_ns = std::max(0.0, median(gate_samples));
   // Gate checks per inference: one per link hop + one per ejected flit, from
-  // the enabled run's observation. An upper bound: the event engine's fast
-  // switch path, which a disabled run takes, has no per-hop gate.
+  // the enabled run's observation. The hop count is exact: the disabled run
+  // takes the network's one switch allocator, which checks the gate on
+  // every link grant. The ejected-flit count stands in for the per-packet
+  // checks at injection and ejection, which are fewer for packets of two
+  // or more flits.
   std::uint64_t checks = 0;
   for (const std::uint64_t v : r_on.noc_obs.link_flits) checks += v;
   for (const std::uint64_t v : r_on.noc_obs.node_ejections) checks += v;

@@ -178,6 +178,7 @@ void AcceleratorSim::check_invariants() const {
   NOCW_CHECK_GE(cfg_.noc.buffer_depth, 1);
   NOCW_CHECK_GE(cfg_.noc.link_width_bits, 1);
   NOCW_CHECK_GE(cfg_.noc.virtual_channels, 1);
+  NOCW_CHECK_LE(cfg_.noc.virtual_channels, noc::kMaxVirtualChannels);
   NOCW_CHECK_GT(cfg_.noc.clock_ghz, 0.0);
   NOCW_CHECK_GT(cfg_.macs_per_pe_per_cycle, 0);
   NOCW_CHECK_GE(cfg_.pe_local_memory_bytes, 0);

@@ -51,6 +51,10 @@ struct ResilienceConfig {
   }
 };
 
+/// Most virtual channels per input port: a router's kNumPorts * VCs slots
+/// must fit the 64-bit candidate masks of the switch allocator.
+inline constexpr int kMaxVirtualChannels = 12;
+
 struct NocConfig {
   int width = 4;             ///< mesh columns
   int height = 4;            ///< mesh rows
@@ -61,7 +65,8 @@ struct NocConfig {
   /// Virtual channels per physical input port. A packet is assigned one VC
   /// at injection and keeps it along its (deterministic) path; the wormhole
   /// lock is held per (output, VC), so a blocked packet no longer blocks
-  /// packets travelling on other VCs of the same link. 1 = plain wormhole.
+  /// packets travelling on other VCs of the same link. 1 = plain wormhole;
+  /// at most kMaxVirtualChannels.
   int virtual_channels = 1;
   /// Seeded fault injection (bit flips, link faults, router stalls). The
   /// default (all rates zero) is completely inert: cycles, stats and energy

@@ -13,8 +13,10 @@ LaneStore::LaneStore(const NocConfig& cfg)
       fifos_(static_cast<std::size_t>(nodes_) *
                  static_cast<std::size_t>(slots_),
              static_cast<std::size_t>(cfg.buffer_depth)) {
-  // Slots fit the byte-wide round-robin pointers and 16-bit lock owners.
-  NOCW_CHECK_LE(slots_, 255);
+  // A router's slots fit one 64-bit candidate mask of the switch
+  // allocator, and so the byte-wide round-robin pointers and 16-bit lock
+  // owners too.
+  NOCW_CHECK_LE(cfg.virtual_channels, kMaxVirtualChannels);
   arrived_.assign(fifos_.count(), 0);
   lock_.assign(fifos_.count(), -1);
   rr_.assign(static_cast<std::size_t>(nodes_) * kNumPorts, 0);

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -126,37 +125,6 @@ class LaneStore {
   /// or -1 when the lane is free.
   [[nodiscard]] int lock_owner(int router, int out, int vc) const noexcept {
     return lock_[lane(router, out, vc)];
-  }
-
-  /// Switch allocation for one output port: choose a slot of `router`
-  /// whose head flit may traverse to `out` this cycle, honouring the
-  /// per-(output, VC) wormhole locks with round-robin priority. `can_accept`
-  /// lets the caller veto candidates whose downstream lane is full, so a
-  /// back-pressured VC does not stall the whole output while another VC
-  /// could use it. With virtual_channels = 1 the returned slot equals the
-  /// input port number.
-  ///
-  /// Statically dispatched on the predicate type: the reference switch loop
-  /// runs this once per output per router per cycle, so the predicate call
-  /// must inline rather than go through std::function.
-  template <typename Pred>
-  [[nodiscard]] std::optional<int> allocate_with(int router, int out,
-                                                 Pred&& can_accept) const {
-    const std::size_t base = lane(router, 0);
-    int slot = rr_pointer(router, out);
-    for (int k = 0; k < slots_; ++k, slot = slot + 1 == slots_ ? 0 : slot + 1) {
-      const std::size_t l = base + static_cast<std::size_t>(slot);
-      if (!ready(l)) continue;
-      const Flit& f = fifos_.front(l);
-      if (route(router, f.dst) != out) continue;
-      const int owner = lock_owner(router, out, static_cast<int>(f.vc));
-      const bool is_head =
-          f.type == FlitType::Head || f.type == FlitType::HeadTail;
-      if (!(is_head ? (owner == -1) : (owner == slot))) continue;
-      if (!can_accept(f)) continue;
-      return slot;
-    }
-    return std::nullopt;
   }
 
   /// Commit a grant: pop the head flit of `slot` and update the wormhole

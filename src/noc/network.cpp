@@ -26,23 +26,15 @@ Network::Network(const NocConfig& cfg)
   sources_.resize(static_cast<std::size_t>(cfg_.node_count()));
   const std::size_t lanes_total = lanes_.sizes().size();
   occ_.resize(lanes_total, 0);
-  router_occ_.resize(static_cast<std::size_t>(cfg_.node_count()), 0);
   link_flits_.resize(
       static_cast<std::size_t>(cfg_.node_count()) * kNumPorts, 0);
   node_ejects_.resize(static_cast<std::size_t>(cfg_.node_count()), 0);
   trace_noc_ = NOCW_TRACE_ON(obs::kCatNoc);
   trace_sample_ = obs::Tracer::sample_every();
   if (trace_sample_ == 0) trace_sample_ = 1;
-  // The fast path caches DOR head routes; any table-driven rerouting would
-  // invalidate those caches mid-run, so adaptive mode pins the reference
-  // switch loop (both produce equal stats wherever both apply).
-  fast_switch_ = !fault_.enabled() && !trace_noc_ && !adaptive_ &&
-                 lanes_.slots() <= 64;
-  if (fast_switch_) {
-    occ_mask_.assign(static_cast<std::size_t>(cfg_.node_count()), 0);
-    fresh_mask_.assign(static_cast<std::size_t>(cfg_.node_count()), 0);
-    head_out_.assign(lanes_total, 0);
-  }
+  occ_mask_.assign(static_cast<std::size_t>(cfg_.node_count()), 0);
+  fresh_mask_.assign(static_cast<std::size_t>(cfg_.node_count()), 0);
+  head_out_.assign(lanes_total, 0);
   if (adaptive_) {
     route_table_ =
         std::make_unique<RouteTable>(cfg_, cfg_.resilience.route_mode);
@@ -296,24 +288,13 @@ void Network::suspect_path(const PacketDescriptor& d) {
 
 void Network::snapshot_occupancy() {
   // The lane sizes are the occupancy state: freezing the cycle-boundary
-  // view is one copy. The fast path's per-router skip reads its live
-  // occupancy mask instead of router_occ_ (equivalent there: a router
-  // holding only this cycle's arrivals is visited but has no candidate).
+  // view is one copy.
   const auto sizes = lanes_.sizes();
   std::copy(sizes.begin(), sizes.end(), occ_.begin());
-  if (fast_switch_) return;
-  const auto slots = static_cast<std::size_t>(lanes_.slots());
-  for (std::size_t rid = 0; rid < router_occ_.size(); ++rid) {
-    std::uint32_t total = 0;
-    for (std::size_t i = rid * slots; i < (rid + 1) * slots; ++i) {
-      total += occ_[i];
-    }
-    router_occ_[rid] = total;
-  }
 }
 
 void Network::land(std::size_t lane, int router, const Flit& f) {
-  if (fast_switch_ && lanes_.empty(lane)) {
+  if (lanes_.empty(lane)) {
     // The flit becomes its lane's head, but moves no further this cycle:
     // record its occupancy bit, its fresh bit and its cached route.
     const std::uint64_t bit = std::uint64_t{1}
@@ -326,15 +307,50 @@ void Network::land(std::size_t lane, int router, const Flit& f) {
   ++ctx_.buffer_writes;
 }
 
-inline void Network::switch_router_fast(int rid) {
+unsigned Network::fault_blocked_outputs(int rid, bool occupied) {
+  const std::uint64_t now = stats_.cycles.value();
+  const auto r = static_cast<std::size_t>(rid);
+  const auto threshold =
+      static_cast<std::uint32_t>(cfg_.resilience.stall_threshold_cycles);
+  if (fault_.router_stalled(now, rid)) {
+    ++ctx_.stall_cycles;
+    // Stall watchdog: consecutive stalled-while-occupied cycles.
+    if (escalate_ && health_.router_up(rid) && occupied &&
+        ++router_streak_[r] == threshold) {
+      pending_down_routers_.push_back(rid);
+    }
+    return (1u << kNumPorts) - 1;  // control-path glitch: no port allocates
+  }
+  if (escalate_) router_streak_[r] = 0;
+  // The NI always sinks one flit per cycle, so ejection is never blocked.
+  unsigned blocked = 0;
+  for (int out = kLocal + 1; out < kNumPorts; ++out) {
+    const std::size_t link = r * kNumPorts + static_cast<std::size_t>(out);
+    if (!fault_.link_down(now, rid, out)) {
+      if (escalate_) link_streak_[link] = 0;
+      continue;
+    }
+    // Transient outage: flits stay buffered and retry next cycle.
+    ++ctx_.link_fault_cycles;
+    blocked |= 1u << out;
+    if (escalate_ && health_.link_up(rid, out) &&
+        lanes_.downstream(rid, out) >= 0 && occupied &&
+        ++link_streak_[link] == threshold) {
+      pending_down_links_.push_back(static_cast<int>(link));
+    }
+  }
+  return blocked;
+}
+
+inline void Network::switch_router(int rid, unsigned blocked) {
   const std::size_t base = lanes_.lane(rid, 0);
   // Per output port, a bitmask of the router's slots whose head flit was
   // buffered at the cycle boundary and routes there, assembled from the
   // incrementally-maintained occupancy masks and cached head routes; `outs`
-  // marks the outputs with any candidate. The per-output round-robin scan
-  // then walks set bits instead of re-reading every lane — state only
-  // changes through grants, and each grant refreshes the one slot it
-  // popped, so the masks stay exact for the outputs still to come.
+  // marks the unblocked outputs with any candidate. The per-output
+  // round-robin scan then walks set bits instead of re-reading every lane —
+  // state only changes through grants, and each grant refreshes the one
+  // slot it popped, so the masks stay exact for the outputs still to come.
   std::uint64_t cand[kNumPorts] = {};
   unsigned outs = 0;
   for (std::uint64_t occ = occ_mask_[static_cast<std::size_t>(rid)] &
@@ -345,6 +361,7 @@ inline void Network::switch_router_fast(int rid) {
     cand[out] |= std::uint64_t{1} << slot;
     outs |= 1u << out;
   }
+  outs &= ~blocked;
   const std::size_t depth = lanes_.depth();
   for (; outs != 0; outs &= outs - 1) {
     const int out = std::countr_zero(outs);
@@ -354,7 +371,10 @@ inline void Network::switch_router_fast(int rid) {
     while (m != 0) {
       // Round-robin pick: lowest set bit at/after `start`, wrapping. A
       // veto (wormhole lock, downstream capacity) clears the bit and the
-      // scan resumes in the same order — exactly allocate_with's walk.
+      // scan resumes in the same order. Capacity is judged against the
+      // cycle-boundary snapshot plus this cycle's arrivals — credits return
+      // at cycle edges, so the decision is independent of router visit
+      // order and a back-pressured VC never stalls the others.
       const std::uint64_t ahead = m & (~std::uint64_t{0} << start);
       const int slot = std::countr_zero(ahead != 0 ? ahead : m);
       const std::size_t lane = base + static_cast<std::size_t>(slot);
@@ -372,23 +392,33 @@ inline void Network::switch_router_fast(int rid) {
         m &= ~(std::uint64_t{1} << slot);
         continue;
       }
-      const Flit g = lanes_.grant(rid, slot, out);
+      Flit g = lanes_.grant(rid, slot, out);
       if (out == kLocal) {
         // Routers switch in id order and ejection touches nothing the
-        // switch reads, so this is commit_switch's order.
+        // switch reads, so side effects fire in router-id order.
         eject_flit(g, rid);
       } else {
+        if (fault_.enabled()) {
+          ctx_.bit_flips += static_cast<std::uint64_t>(fault_.corrupt_payload(
+              g.payload, stats_.cycles.value(), rid, out));
+        }
         land(idx, lanes_.neighbor(rid, out), g);
         ++ctx_.buffer_reads;
         ++ctx_.router_traversals;
         ++ctx_.link_traversals;
         ++link_flits_[static_cast<std::size_t>(rid) * kNumPorts +
                       static_cast<std::size_t>(out)];
+        if (trace_noc_ && hop_seq_++ % trace_sample_ == 0) {
+          obs::Tracer::global().record_instant(
+              obs::kCatNoc, "hop", obs::kPidNoc,
+              static_cast<std::uint32_t>(rid), stats_.cycles.value(), "dst",
+              static_cast<double>(g.dst));
+        }
       }
       // The pop may expose a new head; refresh the slot's cached route and
-      // its candidacy for the outputs still to come (at most one grant per
-      // output per cycle). A head that arrived this cycle waits for the
-      // next one.
+      // its candidacy for the unblocked outputs still to come (at most one
+      // grant per output per cycle). A head that arrived this cycle waits
+      // for the next one.
       const std::uint64_t bit = std::uint64_t{1} << slot;
       cand[out] &= ~bit;
       if (lanes_.empty(lane)) {
@@ -398,7 +428,7 @@ inline void Network::switch_router_fast(int rid) {
         head_out_[lane] = static_cast<std::uint8_t>(nout);
         if (lanes_.ready(lane)) {
           cand[nout] |= bit;
-          outs |= (1u << nout) & ~((2u << out) - 1);
+          outs |= (1u << nout) & ~((2u << out) - 1) & ~blocked;
         } else {
           fresh_mask_[static_cast<std::size_t>(rid)] |= bit;
         }
@@ -409,119 +439,35 @@ inline void Network::switch_router_fast(int rid) {
 }
 
 void Network::switch_phase() {
+  // A router holding no flit from before this cycle has no candidate, so
+  // fault-free runs skip it. Under faults every router is visited: its
+  // stall and link-fault counters tick whether or not it holds a flit. The
+  // occupancy test reads the masks before the router's first grant, when
+  // they still hold the cycle-boundary view (other routers' grants into
+  // this one are all fresh).
   const int n = cfg_.node_count();
   const bool faulty = fault_.enabled();
-  const std::size_t depth = lanes_.depth();
-  if (fast_switch_) {
-    // Routers holding no flit from before this cycle cannot allocate
-    // anything; skipping them is observationally identical (faults are off
-    // on this path — their counters would tick per router per cycle
-    // regardless of traffic).
-    for (int rid = 0; rid < n; ++rid) {
-      const auto r = static_cast<std::size_t>(rid);
-      if ((occ_mask_[r] & ~fresh_mask_[r]) != 0) switch_router_fast(rid);
-    }
-    return;
-  }
-  // Occupancy-free routers are skipped here too, unless faults are on:
-  // their counters tick per router per cycle.
   for (int rid = 0; rid < n; ++rid) {
-    if (!faulty && router_occ_[static_cast<std::size_t>(rid)] == 0) {
-      continue;
-    }
-    if (faulty && fault_.router_stalled(stats_.cycles.value(), rid)) {
-      ++ctx_.stall_cycles;
-      // Stall watchdog: consecutive stalled-while-occupied cycles.
-      if (escalate_ && health_.router_up(rid) &&
-          router_occ_[static_cast<std::size_t>(rid)] > 0 &&
-          ++router_streak_[static_cast<std::size_t>(rid)] ==
-              static_cast<std::uint32_t>(
-                  cfg_.resilience.stall_threshold_cycles)) {
-        pending_down_routers_.push_back(rid);
-      }
-      continue;  // control-path glitch: no allocation on any port this cycle
-    }
-    if (escalate_) router_streak_[static_cast<std::size_t>(rid)] = 0;
-    for (int out = 0; out < kNumPorts; ++out) {
-      if (out == kLocal) {
-        // Ejection: the NI always sinks one flit per cycle per port. The
-        // pop happens here (router-local); the stats/CRC/hook side of the
-        // ejection is committed later in router-id order.
-        const auto in =
-            lanes_.allocate_with(rid, out, [](const Flit&) { return true; });
-        if (!in) continue;
-        ctx_.ejects.emplace_back(rid, lanes_.grant(rid, *in, out));
-        continue;
-      }
-      const std::size_t link = static_cast<std::size_t>(rid) * kNumPorts +
-                               static_cast<std::size_t>(out);
-      const std::int32_t down = lanes_.downstream(rid, out);
-      if (faulty && fault_.link_down(stats_.cycles.value(), rid, out)) {
-        ++ctx_.link_fault_cycles;
-        if (escalate_ && health_.link_up(rid, out) && down >= 0 &&
-            router_occ_[static_cast<std::size_t>(rid)] > 0 &&
-            ++link_streak_[link] ==
-                static_cast<std::uint32_t>(
-                    cfg_.resilience.stall_threshold_cycles)) {
-          pending_down_links_.push_back(static_cast<int>(link));
-        }
-        continue;  // transient outage: flits stay buffered and retry
-      }
-      if (escalate_) link_streak_[link] = 0;
-      if (down < 0) {
-        continue;  // edge router: this output has no link (and no route
-                   // ever points a flit toward it)
-      }
-      // Allocation only considers candidates whose downstream lane can take
-      // a flit this cycle, so a back-pressured VC never stalls the output
-      // for traffic on other VCs. Capacity is judged against the
-      // cycle-boundary snapshot plus flits that arrived in the lane this
-      // cycle — credits return at cycle edges, so the decision is
-      // independent of router visit order.
-      const auto in = lanes_.allocate_with(rid, out, [&](const Flit& f) {
-        const std::size_t idx = static_cast<std::size_t>(down) + f.vc;
-        return depth > occ_[idx] + lanes_.arrived(idx);
-      });
-      if (!in) continue;
-      Flit f = lanes_.grant(rid, *in, out);
-      if (faulty) {
-        ctx_.bit_flips += static_cast<std::uint64_t>(
-            fault_.corrupt_payload(f.payload, stats_.cycles.value(), rid, out));
-      }
-      const std::size_t idx = static_cast<std::size_t>(down) + f.vc;
-      land(idx, lanes_.neighbor(rid, out), f);
-      ++ctx_.buffer_reads;
-      ++ctx_.router_traversals;
-      ++ctx_.link_traversals;
-      ++link_flits_[link];
-      if (trace_noc_ && hop_seq_++ % trace_sample_ == 0) {
-        obs::Tracer::global().record_instant(
-            obs::kCatNoc, "hop", obs::kPidNoc,
-            static_cast<std::uint32_t>(rid), stats_.cycles.value(), "dst",
-            static_cast<double>(f.dst));
-      }
-    }
+    const auto r = static_cast<std::size_t>(rid);
+    const bool occupied = (occ_mask_[r] & ~fresh_mask_[r]) != 0;
+    const unsigned blocked =
+        faulty ? fault_blocked_outputs(rid, occupied) : 0u;
+    if (occupied) switch_router(rid, blocked);
   }
-}
-
-void Network::commit_switch() {
-  // Ejection side effects — latency accumulation, CRC verdicts, NACK
-  // requeues, the eject hook — fire in router-id order after the whole
-  // switch pass, then the pass's counters land.
-  for (const auto& [node, f] : ctx_.ejects) eject_flit(f, node);
-  stats_.buffer_reads += ctx_.buffer_reads;
-  stats_.router_traversals += ctx_.router_traversals;
-  stats_.link_traversals += ctx_.link_traversals;
-  stats_.router_stall_cycles += units::Cycles{ctx_.stall_cycles};
-  stats_.link_fault_cycles += units::Cycles{ctx_.link_fault_cycles};
-  stats_.payload_bit_flips += ctx_.bit_flips;
 }
 
 void Network::step_cycle() {
   ctx_.clear();
   snapshot_occupancy();
   switch_phase();
-  commit_switch();
+  // The pass's counters land after its ejections (the eject hook reads
+  // stats_).
+  stats_.buffer_reads += ctx_.buffer_reads;
+  stats_.router_traversals += ctx_.router_traversals;
+  stats_.link_traversals += ctx_.link_traversals;
+  stats_.router_stall_cycles += units::Cycles{ctx_.stall_cycles};
+  stats_.link_fault_cycles += units::Cycles{ctx_.link_fault_cycles};
+  stats_.payload_bit_flips += ctx_.bit_flips;
   inject_phase();
   // Cycle edge: this cycle's arrivals settle into their lanes and may move
   // next cycle. Each lane receives at most one flit per cycle — one
@@ -579,6 +525,7 @@ void Network::quarantine_flush() {
   // source: drop everything buffered, cancel mid-injection sources, and
   // requeue every affected packet from its original descriptor.
   stats_.flits_flushed += units::Flits{lanes_.flush()};
+  std::fill(occ_mask_.begin(), occ_mask_.end(), std::uint64_t{0});
   for (auto& s : sources_) {
     if (!s.active) continue;
     const std::uint64_t remaining =
@@ -847,25 +794,29 @@ void Network::check_invariants() const {
   NOCW_CHECK_EQ(queued, queued_total_);
   NOCW_CHECK_EQ(static_cast<std::uint64_t>(active),
                 static_cast<std::uint64_t>(active_sources_));
-  // The fast path's incremental occupancy masks and cached head routes
-  // must mirror the lanes exactly, or switch allocation would silently
-  // diverge from the reference loop.
-  if (fast_switch_) {
-    for (int rid = 0; rid < lanes_.routers(); ++rid) {
-      for (int slot = 0; slot < lanes_.slots(); ++slot) {
-        const std::size_t lane = lanes_.lane(rid, slot);
-        const bool bit = (occ_mask_[static_cast<std::size_t>(rid)] >> slot &
-                          std::uint64_t{1}) != 0;
-        NOCW_CHECK_EQ(static_cast<int>(bit),
-                      static_cast<int>(!lanes_.empty(lane)));
-        if (bit) {
-          NOCW_CHECK_EQ(static_cast<int>(head_out_[lane]),
-                        lanes_.route(rid, lanes_.front(lane).dst));
-        }
+  // The incremental occupancy masks and cached head routes must mirror the
+  // lanes exactly, or switch allocation would silently diverge from the
+  // lanes' own state. A cached route indexes the per-output candidate
+  // masks, so it must also name a real port.
+  for (int rid = 0; rid < lanes_.routers(); ++rid) {
+    for (int slot = 0; slot < lanes_.slots(); ++slot) {
+      const std::size_t lane = lanes_.lane(rid, slot);
+      const bool bit = (occ_mask_[static_cast<std::size_t>(rid)] >> slot &
+                        std::uint64_t{1}) != 0;
+      NOCW_CHECK_EQ(static_cast<int>(bit),
+                    static_cast<int>(!lanes_.empty(lane)));
+      if (bit) {
+        NOCW_CHECK_LT(static_cast<int>(head_out_[lane]), kNumPorts);
+        NOCW_CHECK_EQ(static_cast<int>(head_out_[lane]),
+                      lanes_.route(rid, lanes_.front(lane).dst));
       }
-      NOCW_CHECK_EQ(fresh_mask_[static_cast<std::size_t>(rid)],
-                    std::uint64_t{0});
     }
+    // No bit past the router's last slot: the allocator would read a
+    // cached route of the next router's lanes.
+    NOCW_CHECK_EQ(occ_mask_[static_cast<std::size_t>(rid)] >> lanes_.slots(),
+                  std::uint64_t{0});
+    NOCW_CHECK_EQ(fresh_mask_[static_cast<std::size_t>(rid)],
+                  std::uint64_t{0});
   }
   // The observability arrays are decompositions of the canonical counters:
   // per-link flit counts must sum to link_traversals and per-node ejections

@@ -188,13 +188,10 @@ class Network {
     std::uint32_t crc_accum = 0;     ///< running CRC of the active packet
   };
 
-  /// What the switch pass defers to commit_switch(): the reference loop's
-  /// ejections, applied in router-id order once every router has switched
-  /// (the fast path ejects inline, in that same order), and the pass's
-  /// counters, added to stats_ after them (the eject hook reads stats_).
-  /// buffer_writes also counts injections and lands at the cycle edge.
+  /// The switch pass's counters, added to stats_ after the whole pass, so
+  /// after its ejections (the eject hook reads stats_). buffer_writes also
+  /// counts injections and lands at the cycle edge.
   struct SwitchCtx {
-    std::vector<std::pair<int, Flit>> ejects;  ///< (node, flit), id order
     std::uint64_t buffer_writes = 0;  ///< flits landed in lanes (+ injection)
     std::uint64_t buffer_reads = 0;
     std::uint64_t router_traversals = 0;
@@ -203,35 +200,36 @@ class Network {
     std::uint64_t link_fault_cycles = 0;
     std::uint64_t bit_flips = 0;
     void clear() noexcept {
-      ejects.clear();
       buffer_writes = buffer_reads = router_traversals = link_traversals = 0;
       stall_cycles = link_fault_cycles = bit_flips = 0;
     }
   };
 
   void inject_phase();
-  /// Snapshot per-lane occupancy (and, for the reference loop, per-router
-  /// totals) at the cycle boundary; the switch core's capacity predicate
-  /// reads only this.
+  /// Snapshot per-lane occupancy at the cycle boundary; the switch's
+  /// capacity predicate reads only this.
   void snapshot_occupancy();
   /// Switch allocation + grants for every router, in router-id order:
-  /// traversals arrive in their downstream lanes, ejections and counters go
-  /// to ctx_.
+  /// traversals arrive in their downstream lanes, ejections fire inline,
+  /// counters go to ctx_.
   void switch_phase();
-  /// Candidate-mask allocation for one router — the switch's fast path.
-  /// Bit-identical to the reference loop in switch_phase (same winners,
-  /// same order); only the scan is restructured around per-output head
-  /// bitmasks. Gated off under faults and live NoC tracing, which hook the
-  /// reference loop per entity.
-  [[gnu::always_inline]] void switch_router_fast(int rid);
-  /// Write a granted or injected flit into `lane` of `router`; on the fast
-  /// path, an arrival into an empty lane becomes its (fresh) head.
+  /// Fault checks of one router for this cycle, before its first grant:
+  /// counts a stall or each down output link, feeds the stall watchdogs
+  /// (`occupied`: the router held a flit at the cycle boundary), and
+  /// returns the outputs that may not allocate — all of them for a stalled
+  /// router; ejection is otherwise never blocked.
+  unsigned fault_blocked_outputs(int rid, bool occupied);
+  /// Candidate-mask allocation for one router, over every output not in
+  /// `blocked`: per output, a round-robin scan over the set bits of a
+  /// bitmask of the router's slots whose head flit routes there.
+  [[gnu::always_inline]] void switch_router(int rid, unsigned blocked);
+  /// Write a granted or injected flit into `lane` of `router`; an arrival
+  /// into an empty lane becomes its (fresh) head.
   void land(std::size_t lane, int router, const Flit& f);
-  /// Apply the switch pass's deferred effects (ctx_) to shared state.
-  void commit_switch();
-  /// Advance one clock cycle through the shared core: snapshot, switch,
-  /// commit, inject, deliver, escalate, sample. The only stepper; callers
-  /// drive the network through run_until_drained() / run_cycles().
+  /// Advance one clock cycle through the shared core: snapshot, switch
+  /// (ejecting inline), count, inject, deliver, escalate, sample. The only
+  /// stepper; callers drive the network through run_until_drained() /
+  /// run_cycles().
   void step_cycle();
   /// True when stepping the current cycle would change nothing but the
   /// cycle counter: nothing buffered, no source mid-packet, faults off.
@@ -308,25 +306,19 @@ class Network {
   std::unordered_map<std::uint32_t, std::uint32_t> eject_crc_;
   /// Cycle-boundary occupancy snapshot per lane.
   std::vector<std::uint8_t> occ_;
-  /// Cycle-boundary buffered-flit total per router (empty-router skip).
-  std::vector<std::uint32_t> router_occ_;
-  /// The switch pass's deferred effects; persistent so per-cycle stepping
-  /// does not allocate.
+  /// The switch pass's counters; persistent so per-cycle stepping does not
+  /// allocate.
   SwitchCtx ctx_;
-  /// Fixed at construction: the run may use switch_router_fast (faults
-  /// off, tracing off, DOR routing, slot count within one bitmask).
-  /// Fault, trace and routing modes never change after construction, so
-  /// the incremental occupancy masks below are maintained iff this is set.
-  bool fast_switch_ = false;
   /// Live occupied-slot bitmask per router (bit = slot = port * vcs + vc),
-  /// updated on every push/pop. Fast-path only.
+  /// updated on every push/pop; kMaxVirtualChannels keeps a router's slots
+  /// within one word.
   std::vector<std::uint64_t> occ_mask_;
   /// Per router, the slots whose head flit arrived this cycle and so may
-  /// not move before the next one; cleared at every cycle edge. Fast-path
-  /// only.
+  /// not move before the next one; cleared at every cycle edge.
   std::vector<std::uint64_t> fresh_mask_;
   /// Cached output port of each lane's head flit (valid where the
-  /// occupancy bit is set; heads change only on push-to-empty and pop).
+  /// occupancy bit is set; heads change only on push-to-empty and pop, and
+  /// routes only after a flush has emptied every lane).
   std::vector<std::uint8_t> head_out_;
   std::uint32_t next_packet_id_ = 1;
   std::function<void(const Flit&, std::uint64_t)> eject_hook_;

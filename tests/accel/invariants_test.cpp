@@ -36,6 +36,15 @@ TEST(AccelInvariants, ConstructorRejectsBadConfig) {
   EXPECT_THROW(AcceleratorSim{no_window}, CheckError);
 }
 
+TEST(AccelInvariants, RejectsMoreVirtualChannelsThanTheSwitchHolds) {
+  AccelConfig most;
+  most.noc.virtual_channels = noc::kMaxVirtualChannels;
+  EXPECT_NO_THROW(AcceleratorSim{most});
+  AccelConfig too_many;
+  too_many.noc.virtual_channels = noc::kMaxVirtualChannels + 1;
+  EXPECT_THROW(AcceleratorSim{too_many}, CheckError);
+}
+
 TEST(AccelInvariants, EventCountsAccumulateWithoutWrap) {
   power::EventCounts a;
   a.macs = 10;

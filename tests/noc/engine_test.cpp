@@ -5,7 +5,9 @@
 // latency moment and time-series point must equal
 //   - NocStats recorded from the per-cycle reference engine that the loop
 //     replaced (recorded_stats.hpp), with and without fault injection and
-//     at any global pool size (NOCW_THREADS), and
+//     at any global pool size (NOCW_THREADS) — the 4-VC fault and traced
+//     runs from the per-slot reference switch loop that the bitmask
+//     allocator replaced — and
 //   - run_cycles over the same span, which steps every cycle and never
 //     jumps.
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "noc/stats.hpp"
 #include "noc/traffic.hpp"
 #include "obs/timeseries.hpp"
+#include "obs/trace.hpp"
 #include "recorded_stats.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
@@ -104,6 +107,100 @@ TEST(NocEngine, EventMatchesDenseUnderFaultsAndCrc) {
   }
   set_global_threads(before);
 }
+
+TEST(NocEngine, FourVcsUnderFaultsAndCrcMatchRecorded) {
+  // Faults, CRC retransmission and a 20-slot router at once: the stall and
+  // link-fault counters tick on empty routers, NACKed packets requeue from
+  // the ejection path, and the round-robin scan wraps over four VCs.
+  NocConfig cfg;
+  cfg.virtual_channels = 4;
+  cfg.fault.bit_flip_probability = 2e-4;
+  cfg.fault.link_fault_probability = 1e-3;
+  cfg.fault.router_stall_probability = 1e-3;
+  cfg.fault.seed = 17;
+  cfg.protection.crc = true;
+  const NocStats s = run_config(cfg, 23, 400);
+  EXPECT_GT(s.crc_failures, 0u);
+  EXPECT_GT(s.link_fault_cycles.value(), 0u);
+  EXPECT_GT(s.router_stall_cycles.value(), 0u);
+  expect_recorded(s,
+                  {{488, 3542, 3542, 506, 506, 13314, 9772, 13314, 13314, 506,
+                    128, 21, 16, 506, 7084, 106, 400, 106, 0, 0, 0, 0, 0, 0, 0,
+                    0},
+                   {77872, 153.89723320158112, 9621.2092200524366, 8, 415}});
+}
+
+#if !defined(NOCW_TRACE_DISABLED)
+/// Count and order-free sums of one instant name in a NoC trace: the
+/// timestamps, router ids and argument values of every such event.
+struct InstantSums {
+  std::uint64_t count = 0;
+  std::uint64_t ts = 0;
+  std::uint64_t tid = 0;
+  double arg = 0.0;
+  bool operator==(const InstantSums&) const = default;
+};
+
+InstantSums sum_instants(const std::vector<obs::TraceEvent>& events,
+                         const std::string& name) {
+  InstantSums s;
+  for (const auto& e : events) {
+    if (e.name != name) continue;
+    ++s.count;
+    s.ts += e.ts;
+    s.tid += e.tid;
+    s.arg += e.arg;
+  }
+  return s;
+}
+
+TEST(NocEngine, TracedRunMatchesRecorded) {
+  // Live NoC tracing must not move a counter: the traced run reproduces the
+  // untraced seed-11 stats of EventMatchesDenseOnRandomTraffic. The set of
+  // inject/hop/eject instants is pinned by count and by order-free sums, so
+  // a change that only reorders one router's same-cycle instants passes.
+  const RecordedStats seed11 = {
+      {227, 1800, 1800, 300, 300, 6486, 4686, 6486, 6486, 300, 0, 0, 0, 0, 0,
+       0, 300, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {29514, 98.379999999999995, 3086.865150501671, 7, 226}};
+  const struct {
+    std::uint32_t sample;
+    InstantSums inject, hop, eject;
+  } kTraced[] = {
+      {1,
+       {300, 22759, 2270, 2163},
+       {4686, 412426, 35286, 33852},
+       {300, 29514, 2163, 29514}},
+      {7,
+       {300, 22759, 2270, 2163},
+       {670, 58948, 5067, 4664},
+       {300, 29514, 2163, 29514}},
+  };
+  NocConfig cfg;
+  cfg.virtual_channels = 2;
+  for (const auto& want : kTraced) {
+    SCOPED_TRACE(testing::Message() << "sample " << want.sample);
+    obs::Tracer::set_enabled(true);
+    obs::Tracer::set_categories(obs::kCatNoc);
+    obs::Tracer::set_sample_every(want.sample);
+    obs::Tracer::global().clear();
+    const NocStats s = run_config(cfg, 11);
+    const auto events = obs::Tracer::global().collect();
+    EXPECT_EQ(obs::Tracer::global().dropped(), 0u);
+    obs::Tracer::global().clear();
+    obs::Tracer::set_categories(obs::kCatAll);
+    obs::Tracer::set_sample_every(1);
+    obs::Tracer::set_enabled(false);
+    expect_recorded(s, seed11);
+    const InstantSums inject = sum_instants(events, "inject");
+    const InstantSums hop = sum_instants(events, "hop");
+    const InstantSums eject = sum_instants(events, "eject");
+    EXPECT_EQ(inject, want.inject);
+    EXPECT_EQ(hop, want.hop);
+    EXPECT_EQ(eject, want.eject);
+  }
+}
+#endif
 
 /// Runs `traffic` through run_until_drained, then a second network through
 /// run_cycles over the same span, and expects identical stats (and series,

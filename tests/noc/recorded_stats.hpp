@@ -2,8 +2,9 @@
 //
 // Every counter and every latency moment goes in, so a recorded run pins the
 // whole NocStats bit for bit. The values in the tests were recorded from the
-// per-cycle reference engine that the idle-jump run loop replaced; they are
-// the oracle that loop is held to.
+// per-cycle reference engine that the idle-jump run loop replaced, or from
+// the per-slot reference switch loop that the bitmask allocator replaced;
+// they are the oracle both are held to.
 #pragma once
 
 #include <gtest/gtest.h>

@@ -206,6 +206,31 @@ TEST(Resilience, EscalationDeterministicAcrossPoolSizes) {
   set_global_threads(before);
 }
 
+TEST(Resilience, WestFirstAroundKnownOutagesMatchesRecorded) {
+  // Known permanent outages, no escalation: the west-first table routes
+  // around a dead link and a dead router from cycle 0, packets to or from
+  // the dead router are dropped at activation, and the dead router's stall
+  // counter ticks every cycle whether or not it holds a flit.
+  NocConfig cfg;
+  cfg.resilience.route_mode = RouteMode::WestFirst;
+  cfg.fault.permanent_link_outages = 2;
+  cfg.fault.permanent_router_outages = 1;
+  cfg.fault.seed = 5;
+  Network net(cfg);
+  net.add_packets(uniform_random_traffic(cfg, 300, 5, 41));
+  net.run_until_drained(2000000);
+  net.check_invariants();
+  const NocStats& st = net.stats();
+  EXPECT_EQ(st.links_quarantined, 2u);
+  EXPECT_EQ(st.routers_quarantined, 1u);
+  EXPECT_GT(st.packets_undeliverable, 0u);
+  expect_recorded(st, {{404, 1205, 1205, 241, 241, 4745, 3540, 4745, 4745,
+                        241, 0, 808, 404, 0, 0, 0, 241, 0, 0, 1, 2, 1, 0, 0,
+                        59, 0},
+                       {39110, 162.28215767634853, 11124.278388658369, 6,
+                        403}});
+}
+
 TEST(Resilience, DrainTimeoutNamesFaultAndRoutingState) {
   // The triage message must carry the active fault + resilience
   // configuration (which links/routers are down is the first thing a drain

@@ -1,9 +1,13 @@
 // Router semantics on the flat lane store: XY routing, switch allocation,
 // wormhole locks and round-robin priority of one router (node 5 = (1,1) of
 // the default 4x4 mesh). With one VC a router's slot is its input port.
+// Allocation goes through the one-slot-at-a-time oracle of
+// allocate_oracle.hpp.
 #include "noc/lane_store.hpp"
 
 #include <gtest/gtest.h>
+
+#include "allocate_oracle.hpp"
 
 namespace nocw::noc {
 namespace {
@@ -42,8 +46,8 @@ TEST(Router, XyRouteComputation) {
 TEST(Router, AllocatePicksRequestingInput) {
   LaneStore s(NocConfig{});
   push(s, kWest, head(4, 6));  // wants East
-  EXPECT_FALSE(s.allocate_with(kRouter, kNorth, kAny).has_value());
-  const auto in = s.allocate_with(kRouter, kEast, kAny);
+  EXPECT_FALSE(allocate_with(s, kRouter, kNorth, kAny).has_value());
+  const auto in = allocate_with(s, kRouter, kEast, kAny);
   ASSERT_TRUE(in.has_value());
   EXPECT_EQ(*in, kWest);
 }
@@ -60,7 +64,7 @@ TEST(Router, WormholeLockHoldsUntilTail) {
   // Competing head from North also wants East.
   push(s, kNorth, head(1, 6, 2));
 
-  auto in = s.allocate_with(kRouter, kEast, kAny);
+  auto in = allocate_with(s, kRouter, kEast, kAny);
   ASSERT_TRUE(in.has_value());
   const int winner = *in;
   (void)s.grant(kRouter, winner, kEast);  // head claims the lock
@@ -68,18 +72,18 @@ TEST(Router, WormholeLockHoldsUntilTail) {
 
   // Body of the winning packet arrives later; until then no one else may use
   // the locked output.
-  const auto blocked = s.allocate_with(kRouter, kEast, kAny);
+  const auto blocked = allocate_with(s, kRouter, kEast, kAny);
   if (winner == kWest) {
     EXPECT_FALSE(blocked.has_value());  // owner's buffer is empty
     push(s, kWest, b);
-    auto again = s.allocate_with(kRouter, kEast, kAny);
+    auto again = allocate_with(s, kRouter, kEast, kAny);
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(*again, kWest);
     (void)s.grant(kRouter, kWest, kEast);
     push(s, kWest, t);
     (void)s.grant(kRouter, kWest, kEast);  // tail releases the lock
     EXPECT_EQ(s.lock_owner(kRouter, kEast, 0), -1);
-    const auto after = s.allocate_with(kRouter, kEast, kAny);
+    const auto after = allocate_with(s, kRouter, kEast, kAny);
     ASSERT_TRUE(after.has_value());
     EXPECT_EQ(*after, kNorth);  // the competitor finally wins
   }
@@ -90,7 +94,7 @@ TEST(Router, BodyFlitWithoutLockNotGranted) {
   Flit b = head(4, 6);
   b.type = FlitType::Body;
   push(s, kWest, b);
-  EXPECT_FALSE(s.allocate_with(kRouter, kEast, kAny).has_value());
+  EXPECT_FALSE(allocate_with(s, kRouter, kEast, kAny).has_value());
 }
 
 TEST(Router, HeadTailReleasesImmediately) {
@@ -98,11 +102,11 @@ TEST(Router, HeadTailReleasesImmediately) {
   Flit f = head(4, 6);
   f.type = FlitType::HeadTail;
   push(s, kWest, f);
-  const auto in = s.allocate_with(kRouter, kEast, kAny);
+  const auto in = allocate_with(s, kRouter, kEast, kAny);
   ASSERT_TRUE(in.has_value());
   (void)s.grant(kRouter, *in, kEast);
   push(s, kNorth, head(1, 6, 2));
-  const auto next = s.allocate_with(kRouter, kEast, kAny);
+  const auto next = allocate_with(s, kRouter, kEast, kAny);
   ASSERT_TRUE(next.has_value());
   EXPECT_EQ(*next, kNorth);
 }
@@ -116,11 +120,11 @@ TEST(Router, RoundRobinRotatesPriority) {
   b.type = FlitType::HeadTail;
   push(s, kWest, a);
   push(s, kNorth, b);
-  const auto first = s.allocate_with(kRouter, kEast, kAny);
+  const auto first = allocate_with(s, kRouter, kEast, kAny);
   ASSERT_TRUE(first.has_value());
   (void)s.grant(kRouter, *first, kEast);
   EXPECT_EQ(s.rr_pointer(kRouter, kEast), (*first + 1) % s.slots());
-  const auto second = s.allocate_with(kRouter, kEast, kAny);
+  const auto second = allocate_with(s, kRouter, kEast, kAny);
   ASSERT_TRUE(second.has_value());
   EXPECT_NE(*second, *first);
 }

@@ -5,6 +5,7 @@
 
 #include "noc/network.hpp"
 #include "noc/traffic.hpp"
+#include "util/check.hpp"
 
 namespace nocw::noc {
 namespace {
@@ -117,6 +118,20 @@ TEST(VirtualChannels, RelieveHeadOfLineBlocking) {
   const auto one = drain(1);
   const auto four = drain(4);
   EXPECT_LE(four, one);
+}
+
+TEST(VirtualChannels, TwelveVcsDrainAndThirteenAreRejected) {
+  // kMaxVirtualChannels * kNumPorts = 60 slots fill most of a router's
+  // 64-bit candidate mask; the VC ids of the packets below cover them all.
+  ASSERT_EQ(kMaxVirtualChannels, 12);
+  Network net(with_vcs(kMaxVirtualChannels));
+  const auto ps = uniform_random_traffic(net.config(), 600, 5, 3);
+  net.add_packets(ps);
+  net.run_until_drained(1000000);
+  EXPECT_EQ(net.stats().flits_ejected, total_flits(ps));
+  EXPECT_EQ(net.stats().packets_ejected, ps.size());
+  net.check_invariants();
+  EXPECT_THROW(Network{with_vcs(kMaxVirtualChannels + 1)}, CheckError);
 }
 
 TEST(VirtualChannels, VcAssignmentRoundRobinsPackets) {
